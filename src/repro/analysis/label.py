@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Iterable, Protocol
 
 from repro.core.ebrc import EBRC, EBRCConfig
-from repro.core.labeling import UNKNOWN_TYPE_PATTERNS, is_ambiguous_text, label_text
+from repro.core.labeling import UNKNOWN_TYPE_PATTERNS, is_ambiguous_text, match_rules
 from repro.core.taxonomy import BounceType
 from repro.delivery.dataset import DeliveryDataset
 from repro.delivery.records import DeliveryRecord
@@ -48,7 +48,7 @@ class RuleLabeler:
         if is_ambiguous_text(message):
             result = None
         else:
-            result = label_text(message)
+            result = match_rules(message)
             if result is None:
                 result = BounceType.T16
         self._cache[message] = result

@@ -112,32 +112,54 @@ class Accumulator:
             )
 
 
+#: Observations a :class:`ScalarStat` buffers before folding them into
+#: its exact sum.
+_PENDING_MAX = 1024
+
+
 @_register
 class ScalarStat(Accumulator):
     """Count / exact sum / min / max of a value stream.
 
     The sum is a :class:`Fraction`, so ``mean`` is bit-identical across
-    any partitioning of the stream.
+    any partitioning of the stream.  Observations are buffered as integer
+    ratios and folded in batches over one common denominator (for ints
+    and binary floats, the largest power of two among them), without the
+    per-term gcd of ``Fraction`` addition.
     """
 
     kind = "scalar_stat"
     SNAPSHOT_VERSION = 1
 
-    __slots__ = ("_n", "_sum", "_min", "_max")
+    __slots__ = ("_n", "_sum", "_pending", "_min", "_max")
 
     def __init__(self) -> None:
         self._n = 0
         self._sum = Fraction(0)
+        self._pending: list[tuple[int, int]] = []
         self._min: float | None = None
         self._max: float | None = None
 
     def observe(self, value: float) -> None:
+        # as_integer_ratio raises on NaN/inf here, as Fraction(value) would.
+        self._pending.append(value.as_integer_ratio())
+        if len(self._pending) >= _PENDING_MAX:
+            self._exact_sum()
         self._n += 1
-        self._sum += Fraction(value)
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
+
+    def _exact_sum(self) -> Fraction:
+        """The exact sum, with the buffered observations folded in."""
+        if self._pending:
+            den = math.lcm(*(d for _, d in self._pending))
+            self._sum += Fraction(
+                sum(n * (den // d) for n, d in self._pending), den
+            )
+            self._pending = []
+        return self._sum
 
     @property
     def n(self) -> int:
@@ -145,7 +167,7 @@ class ScalarStat(Accumulator):
 
     @property
     def sum(self) -> float:
-        return float(self._sum)
+        return float(self._exact_sum())
 
     @property
     def min(self) -> float | None:
@@ -157,24 +179,22 @@ class ScalarStat(Accumulator):
 
     @property
     def mean(self) -> float:
-        return float(self._sum / self._n) if self._n else 0.0
+        return float(self._exact_sum() / self._n) if self._n else 0.0
 
     def merge(self, other: "ScalarStat") -> "ScalarStat":
         self._check(other)
         self._n += other._n
-        self._sum += other._sum
-        for bound in (other._min,):
-            if bound is not None and (self._min is None or bound < self._min):
-                self._min = bound
-        for bound in (other._max,):
-            if bound is not None and (self._max is None or bound > self._max):
-                self._max = bound
+        self._sum = self._exact_sum() + other._exact_sum()
+        if other._min is not None and (self._min is None or other._min < self._min):
+            self._min = other._min
+        if other._max is not None and (self._max is None or other._max > self._max):
+            self._max = other._max
         return self
 
     def snapshot(self) -> dict:
         return {
             "kind": self.kind, "v": 1, "n": self._n,
-            "sum": _frac_to_json(self._sum),
+            "sum": _frac_to_json(self._exact_sum()),
             "min": self._min, "max": self._max,
         }
 
@@ -517,7 +537,7 @@ class TopK(Accumulator):
 
 
 @_register
-class QuantileSketch(Accumulator):
+class QuantileSketch(ScalarStat):
     """Log-bucketed quantile sketch for duration CDFs.
 
     Same bucket layout as :class:`repro.obs.metrics.Histogram`: bucket
@@ -542,30 +562,21 @@ class QuantileSketch(Accumulator):
     #: base = 2**(1/8): at most ~9.05% relative overestimate per quantile.
     DEFAULT_BASE = 2.0 ** 0.125
 
-    __slots__ = ("base", "min_bound", "_log_base", "_counts", "_n", "_sum",
-                 "_min", "_max")
+    __slots__ = ("base", "min_bound", "_log_base", "_counts")
 
     def __init__(self, base: float = DEFAULT_BASE, min_bound: float = 0.001) -> None:
         if base <= 1.0:
             raise ValueError("sketch base must be > 1")
         if min_bound <= 0:
             raise ValueError("sketch min_bound must be positive")
+        super().__init__()
         self.base = base
         self.min_bound = min_bound
         self._log_base = math.log(base)
         self._counts: dict[int, int] = {}
-        self._n = 0
-        self._sum = Fraction(0)
-        self._min: float | None = None
-        self._max: float | None = None
 
     def observe(self, value: float) -> None:
-        self._n += 1
-        self._sum += Fraction(value)
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
+        super().observe(value)
         if value <= self.min_bound:
             index = 0
         else:
@@ -573,26 +584,6 @@ class QuantileSketch(Accumulator):
                 math.log(value / self.min_bound) / self._log_base - 1e-12
             ))
         self._counts[index] = self._counts.get(index, 0) + 1
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def sum(self) -> float:
-        return float(self._sum)
-
-    @property
-    def min(self) -> float | None:
-        return self._min
-
-    @property
-    def max(self) -> float | None:
-        return self._max
-
-    @property
-    def mean(self) -> float:
-        return float(self._sum / self._n) if self._n else 0.0
 
     def bound(self, index: int) -> float:
         return self.min_bound * self.base ** index
@@ -648,19 +639,13 @@ class QuantileSketch(Accumulator):
         counts = self._counts
         for index, count in other._counts.items():
             counts[index] = counts.get(index, 0) + count
-        self._n += other._n
-        self._sum += other._sum
-        if other._min is not None and (self._min is None or other._min < self._min):
-            self._min = other._min
-        if other._max is not None and (self._max is None or other._max > self._max):
-            self._max = other._max
-        return self
+        return super().merge(other)
 
     def snapshot(self) -> dict:
         return {
             "kind": self.kind, "v": 2,
             "base": self.base, "min_bound": self.min_bound,
-            "n": self._n, "sum": _frac_to_json(self._sum),
+            "n": self._n, "sum": _frac_to_json(self._exact_sum()),
             "min": self._min, "max": self._max,
             "counts": {str(i): c for i, c in self._counts.items()},
         }

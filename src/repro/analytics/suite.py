@@ -51,11 +51,11 @@ from repro.analytics.accumulators import (
     QuantileSketch,
     ScalarStat,
     SnapshotError,
-    TopK,
     restore,
 )
-from repro.core.taxonomy import BounceDegree, BounceType, RootCause
+from repro.core.taxonomy import BounceType, RootCause
 from repro.dnssim.records import RecordType, ResolveStatus
+from repro.smtp.ndr import is_success
 from repro.typosquat.generate import classify_typo, domain_typos
 from repro.util.clock import DAY_SECONDS, SimClock
 from repro.util.text import similarity_ratio, split_address
@@ -68,12 +68,6 @@ SEP = "\x1f"
 
 #: CDF grid (days) for the Fig 7 duration curves.
 DURATION_GRID_DAYS = (1.0, 2.0, 4.0, 7.0, 14.0, 30.0, 60.0, 120.0)
-
-_DEGREE_KEY = {
-    BounceDegree.NON_BOUNCED: "non",
-    BounceDegree.SOFT_BOUNCED: "soft",
-    BounceDegree.HARD_BOUNCED: "hard",
-}
 
 
 def clock_from_ts(start_ts: float, end_ts: float) -> SimClock:
@@ -145,12 +139,13 @@ class TableSuite:
         self,
         clock: SimClock | None = None,
         providers: tuple[str, ...] = PROBED_PROVIDERS,
-        topk_capacity: int = 50,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.providers = tuple(providers)
         self.n_records = 0
         self._labeler = RuleLabeler()
+        #: UTC epoch day -> ``clock.month_key`` of that day.
+        self._months: dict[int, str] = {}
         self._acc = {
             # overview / Fig 5
             "totals": LabeledCounter(),
@@ -208,22 +203,40 @@ class TableSuite:
             "week_dom_senders": KeyedDistinct(),
             "week_addr_n": LabeledCounter(),
             "week_addr_senders": KeyedDistinct(),
-            # live heavy-hitter view (approximate; serve only, never in
-            # the byte-diffed report)
-            "top_senders": TopK(topk_capacity),
-            "top_receivers": TopK(topk_capacity),
         }
 
     # -- ingestion -------------------------------------------------------------
 
+    def _month_key(self, t: float) -> str:
+        """``clock.month_key(t)``, memoised per UTC epoch day (a day never
+        spans two months)."""
+        day = int(t // DAY_SECONDS)
+        if t - day * DAY_SECONDS > DAY_SECONDS - 1e-6:
+            # month_key rounds to whole microseconds, which can carry the
+            # last instant of a day into the next one.
+            return self.clock.month_key(t)
+        month = self._months.get(day)
+        if month is None:
+            month = self._months[day] = self.clock.month_key(day * DAY_SECONDS)
+        return month
+
     def observe(self, record) -> None:
-        """Fold one delivery record into every accumulator."""
+        """Fold one delivery record into every accumulator.
+
+        Each attempt's outcome is parsed once, into ``ok``; the bounce
+        degree, the delivered flag, the first success and the first
+        failure all derive from that list.
+        """
+        attempts = record.attempts
+        if not attempts:
+            raise ValueError("record has no attempts")
+        ok = [is_success(att.result) for att in attempts]
+        delivered = True in ok
+        deg = "non" if ok[0] else "soft" if delivered else "hard"
         a = self._acc
         clock = self.clock
         self.n_records += 1
 
-        degree = record.bounce_degree
-        deg = _DEGREE_KEY[degree]
         totals = a["totals"]
         totals.observe("emails")
         totals.observe(deg)
@@ -233,35 +246,33 @@ class TableSuite:
         in_days = 0 <= day < clock.n_days
         if in_days:
             a["day_degree"].observe(f"{day}{SEP}{deg}")
-        a["monthly"].observe(clock.month_key(t0))
+        a["monthly"].observe(self._month_key(t0))
 
         sd = record.sender_domain
         rd = record.receiver_domain
         sender = record.sender
         receiver = record.receiver
         recv_lower = receiver.lower()
-        delivered = record.delivered
 
         a["rd_volume"].observe(rd)
         a["sd_volume"].observe(sd)
-        if degree is BounceDegree.HARD_BOUNCED:
+        if deg == "hard":
             a["rd_hard"].observe(rd)
             a["sd_hard"].observe(sd)
-        elif degree is BounceDegree.SOFT_BOUNCED:
+        elif deg == "soft":
             a["rd_soft"].observe(rd)
             a["sd_soft"].observe(sd)
-        ip = next((att.to_ip for att in record.attempts if att.to_ip), None)
+        ip = next((att.to_ip for att in attempts if att.to_ip), None)
         if ip is not None:
             a["ip_volume"].observe(ip)
-            if degree is BounceDegree.HARD_BOUNCED:
+            if deg == "hard":
                 a["ip_hard"].observe(ip)
-            elif degree is BounceDegree.SOFT_BOUNCED:
+            elif deg == "soft":
                 a["ip_soft"].observe(ip)
 
-        if degree is BounceDegree.SOFT_BOUNCED:
-            a["soft_attempts"].observe(record.n_attempts)
-            success_t = next(att.t for att in record.attempts if att.succeeded)
-            delay_h = (success_t - t0) / 3600.0
+        if deg == "soft":
+            a["soft_attempts"].observe(len(attempts))
+            delay_h = (attempts[ok.index(True)].t - t0) / 3600.0
             a["recovery_hours"].observe(delay_h)
             a["recovery_sketch"].observe(delay_h)
 
@@ -274,8 +285,6 @@ class TableSuite:
         a["pair_traffic"].observe(pair)
         a["spam_recipients"].observe(sd, recv_lower)
         a["rd_senders"].observe(rd, sender)
-        a["top_senders"].observe(sd)
-        a["top_receivers"].observe(rd)
 
         if delivered:
             a["pair_delivered_n"].observe(pair)
@@ -288,11 +297,12 @@ class TableSuite:
                 pass
             else:
                 a["deliv_user_sets"].observe(f"{sender}{SEP}{dlow}", user.lower())
-            for att in record.attempts:
-                if att.succeeded:
-                    a["last_success"].observe(rd, att.t)
+            last_success = a["last_success"]
+            for att, good in zip(attempts, ok):
+                if good:
+                    last_success.observe(rd, att.t)
         else:
-            final_type = self._labeler.classify(record.final_attempt().result)
+            final_type = self._labeler.classify(attempts[-1].result)
             if final_type is BounceType.T8:
                 a["pair_t8_users"].observe(pair, record.receiver_user.lower())
 
@@ -307,9 +317,9 @@ class TableSuite:
             a["week_addr_n"].observe(f"{recv_lower}{SEP}{week}{SEP}{rd}")
             a["week_addr_senders"].observe(f"{recv_lower}{SEP}{week}", sender)
 
-        failure = record.first_failure()
-        if failure is None:
+        if False not in ok:
             return
+        failure = attempts[ok.index(False)]
         totals.observe("bounced")
         btype = self._labeler.classify(failure.result)
         if btype is None:
@@ -317,7 +327,7 @@ class TableSuite:
             return
         t = btype.value
         a["types"].observe(t)
-        if degree is not BounceDegree.NON_BOUNCED:
+        if deg != "non":
             a["rd_type"].observe(f"{rd}{SEP}{t}")
             if ip is not None:
                 a["ip_type"].observe(f"{ip}{SEP}{t}")
@@ -333,8 +343,7 @@ class TableSuite:
         elif btype is BounceType.T6:
             a["t6_domains"].observe(rd)
             if delivered:
-                success_t = next(att.t for att in record.attempts if att.succeeded)
-                delay = success_t - t0
+                delay = attempts[ok.index(True)].t - t0
                 a["greylist_delay_s"].observe(delay)
                 a["greylist_sketch"].observe(delay)
         elif btype is BounceType.T13:
@@ -416,6 +425,9 @@ class TableSuite:
         suite = cls(clock, providers=tuple(snapshot["providers"]))
         suite.n_records = int(snapshot["n_records"])
         saved = snapshot["acc"]
+        # Entries this build no longer keeps (the ``top_senders`` /
+        # ``top_receivers`` TopK summaries of older v1 snapshots) are
+        # ignored.
         for name in suite._acc:
             if name not in saved:
                 raise SnapshotError(f"table_suite snapshot missing accumulator {name!r}")
@@ -1076,18 +1088,16 @@ class TableSuite:
         }
 
     def live_payload(self, top: int = 10) -> dict:
-        """The serve-side live view: the exact table payload plus the
-        approximate heavy-hitter lists (clearly marked, never byte-diffed)."""
+        """The serve-side live view: the table payload plus the heaviest
+        sender and receiver domains as ``[key, count, error]`` rows.  The
+        rows come from the exact volume counters, so ``error`` is 0."""
         payload = self.tables(top)
         payload["heavy_hitters"] = {
-            "senders": {
-                "exact": self._acc["top_senders"].exact,
-                "top": [list(row) for row in self._acc["top_senders"].top(top)],
-            },
-            "receivers": {
-                "exact": self._acc["top_receivers"].exact,
-                "top": [list(row) for row in self._acc["top_receivers"].top(top)],
-            },
+            side: {
+                "exact": True,
+                "top": [[key, n, 0] for key, n in self._acc[name].top(top)],
+            }
+            for side, name in (("senders", "sd_volume"), ("receivers", "rd_volume"))
         }
         return payload
 

@@ -150,6 +150,12 @@ def label_text(text: str) -> BounceType | None:
     """
     if is_ambiguous_text(text):
         return None
+    return match_rules(text)
+
+
+def match_rules(text: str) -> BounceType | None:
+    """The first :data:`LABEL_RULES` match, without the ambiguity check
+    of :func:`label_text` (for callers that have already made it)."""
     for rule in LABEL_RULES:
         if rule.pattern.search(text):
             return rule.bounce_type

@@ -151,21 +151,23 @@ class DeliveryRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeliveryRecord":
-        n = len(data["delivery_result"])
-        times = data.get("attempt_times") or [data["start_time"]] * n
-        truth_types = data.get("truth_types") or [None] * n
-        truth_ambiguous = data.get("truth_ambiguous") or [False] * n
+        """Inverse of :meth:`to_json_dict`.  The per-attempt arrays must
+        all have the same length; a mismatch raises ``ValueError``."""
+        results = data["delivery_result"]
+        n = len(results)
         attempts = [
-            AttemptRecord(
-                t=times[i],
-                from_ip=data["from_ip"][i],
-                to_ip=data["to_ip"][i],
-                result=data["delivery_result"][i],
-                latency_ms=data["delivery_latency"][i],
-                truth_type=truth_types[i],
-                ambiguous=bool(truth_ambiguous[i]),
+            AttemptRecord(t, from_ip, to_ip, result, latency, truth_type,
+                          bool(ambiguous))
+            for t, from_ip, to_ip, result, latency, truth_type, ambiguous in zip(
+                data.get("attempt_times") or [data["start_time"]] * n,
+                data["from_ip"],
+                data["to_ip"],
+                results,
+                data["delivery_latency"],
+                data.get("truth_types") or [None] * n,
+                data.get("truth_ambiguous") or [False] * n,
+                strict=True,
             )
-            for i in range(n)
         ]
         return cls(
             sender=data["from"],

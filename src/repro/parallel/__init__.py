@@ -21,6 +21,7 @@ from repro.parallel.errors import (
     ResumeError,
     SliceExecutionError,
     WorkerCrashError,
+    WorkerModeError,
 )
 from repro.parallel.partition import (
     SimSlice,
@@ -37,6 +38,7 @@ __all__ = [
     "SimSlice",
     "SliceExecutionError",
     "WorkerCrashError",
+    "WorkerModeError",
     "assign_slices",
     "classify_many_parallel",
     "count_attacker_campaigns",

@@ -23,7 +23,9 @@ a worker that dies silently (signal, OOM) raises
 :class:`WorkerCrashError` naming the slices it held; a run that exceeds
 ``timeout`` terminates every worker and raises
 :class:`ParallelTimeoutError` naming the unfinished slices.  In every
-case all remaining workers are terminated first — no hung pools.
+case all remaining workers are terminated first — no hung pools.  A
+worker whose echoed fastpath/columnar switches differ from the parent's
+raises :class:`WorkerModeError`.
 
 ``workers <= 1`` falls back to plain in-process streaming (no processes,
 no shard round-trip) and yields the same records.
@@ -51,6 +53,7 @@ from repro.parallel.errors import (
     ResumeError,
     SliceExecutionError,
     WorkerCrashError,
+    WorkerModeError,
 )
 from repro.parallel.partition import SimSlice, assign_slices, plan_slices
 from repro.parallel.worker import (
@@ -242,10 +245,11 @@ def run_parallel_simulation(
         "compress": compress,
         "metrics": obs_metrics.enabled(),
         "analytics": analytics,
-        # Workers inherit the parent's columnar switch so a
-        # ``--no-columnar`` differential run exercises the reference
-        # delivery loop in every process.  Deliberately NOT part of the
-        # resume fingerprint: the record bytes are identical either way.
+        # Workers inherit the parent's fastpath and columnar switches so
+        # a ``--no-cache`` / ``--no-columnar`` differential run exercises
+        # the reference code in every process.  Deliberately NOT part of
+        # the resume fingerprint: the record bytes are identical either way.
+        "fastpath": fastpath.enabled(),
         "columnar": fastpath.columnar_enabled(),
     }
 
@@ -284,6 +288,7 @@ def run_parallel_simulation(
 
     buckets = assign_slices(to_run, max(workers, 1)) if to_run else []
     procs = []
+    worker_results: list[dict] = []
     if buckets:
         ctx = multiprocessing.get_context("spawn")
         procs = [
@@ -299,15 +304,23 @@ def run_parallel_simulation(
             for proc in procs:
                 proc.start()
             _join_workers(procs, buckets, root, timeout)
+            worker_results = [
+                _load_result(root, i, bucket) for i, bucket in enumerate(buckets)
+            ]
+            for i, (result, bucket) in enumerate(zip(worker_results, buckets)):
+                for mode in ("fastpath", "columnar"):
+                    if result.get(mode) != options[mode]:
+                        raise WorkerModeError(
+                            f"worker {i} (slices: {_bucket_keys(bucket)}) ran "
+                            f"with {mode}={result.get(mode)!r}, requested "
+                            f"{mode}={options[mode]!r}"
+                        )
         except BaseException:
             _terminate(procs)
             if owns:
                 shutil.rmtree(root, ignore_errors=True)
             raise
 
-    worker_results = [
-        _load_result(root, i, bucket) for i, bucket in enumerate(buckets)
-    ]
     if options["metrics"]:
         from repro.obs.export import merge_snapshot
 

@@ -81,11 +81,14 @@ def run_worker(
     ``metrics`` (bool — enable :mod:`repro.obs` in this process and
     snapshot it into the result file), ``analytics`` (bool — fold every
     record into a :class:`repro.analytics.TableSuite` while writing and
-    snapshot the partial into the result file, exactly like telemetry).
+    snapshot the partial into the result file, exactly like telemetry),
+    ``fastpath`` and ``columnar`` (bool — the parent's acceleration
+    switches; the result file echoes the effective values).
     """
     root = Path(shard_root)
     current: str | None = None
     try:
+        from repro.core import fastpath
         from repro.obs import export as obs_export
         from repro.obs import metrics as obs_metrics
         from repro.obs import profile as obs_profile
@@ -97,9 +100,9 @@ def run_worker(
 
         if options.get("metrics"):
             obs_metrics.enable()
+        if not options.get("fastpath", True):
+            fastpath.disable()
         if not options.get("columnar", True):
-            from repro.core import fastpath
-
             fastpath.disable_columnar()
         fault_plan = faults.active_plan()
         t0 = time.perf_counter()
@@ -134,6 +137,10 @@ def run_worker(
             "slices": [s.key for s in slices],
             "n_records": counts,
             "elapsed_s": time.perf_counter() - t0,
+            # The effective switches, which the parent checks against its
+            # request.
+            "fastpath": fastpath.enabled(),
+            "columnar": fastpath.columnar_enabled(),
             "snapshot": obs_export.build_snapshot() if options.get("metrics") else None,
             "analytics": suite.snapshot() if suite is not None else None,
         }

@@ -268,14 +268,16 @@ class ReproServer:
 
     def serve_forever(self) -> None:
         """Run the accept loop on the calling thread until drained."""
-        self.watcher.start()
+        if self.config.reload_interval_s > 0:  # 0 = off: no polling thread
+            self.watcher.start()
         self._write_port_file()
         self._serving = True
         self._httpd.serve_forever(poll_interval=0.1)
 
     def start(self) -> "ReproServer":
         """Run the accept loop on a background thread (tests, loadgen)."""
-        self.watcher.start()
+        if self.config.reload_interval_s > 0:  # 0 = off: no polling thread
+            self.watcher.start()
         self._write_port_file()
         self._serving = True
         self._serve_thread = threading.Thread(

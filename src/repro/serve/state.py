@@ -161,7 +161,7 @@ class ServerState:
 
     def report_payload(self, top: int = 10) -> dict:
         """The ``GET /report`` body: the live table payload plus the
-        approximate heavy-hitter lists."""
+        heavy-hitter lists."""
         with self._monitor_lock:
             return self.suite.live_payload(top)
 

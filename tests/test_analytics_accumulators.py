@@ -14,6 +14,7 @@ when it merges per-worker partial suites in arbitrary groupings.
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -200,6 +201,29 @@ class TestVersionCompat:
         assert restored.n == acc.n
         assert restored.sum == acc.sum
         assert restored.quantile(0.5) == acc.quantile(0.5)
+
+
+class TestScalarStat:
+    def test_batched_sum_equals_term_by_term_fraction_sum(self):
+        # Two full batches plus a partial one, over many binary
+        # exponents, with ints and non-dyadic rationals mixed in.
+        rng = random.Random(707)
+        values = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 60)
+                  for _ in range(2500)]
+        values += [3, 2 ** 70, Fraction(1, 3), Fraction(2, 7)]
+        acc = ScalarStat()
+        for value in values:
+            acc.observe(value)
+        exact = sum(map(Fraction, values))
+        assert Fraction(*acc.snapshot()["sum"]) == exact
+        assert acc.sum == float(exact)
+        assert acc.mean == float(exact / len(values))
+
+    def test_nan_raises_at_the_call(self):
+        acc = ScalarStat()
+        with pytest.raises(ValueError):
+            acc.observe(float("nan"))
+        assert acc.n == 0
 
 
 class TestQuantileSketch:

@@ -16,6 +16,10 @@ contract demands it:
 
 import io
 import json
+import math
+from collections import Counter
+from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
 
@@ -44,10 +48,12 @@ from repro.analysis.squatting import (
     weekly_vulnerable_series,
 )
 from repro.analysis.typos import detect_domain_typos, detect_username_typos
-from repro.analytics import SnapshotError, TableSuite
+from repro.analytics import SnapshotError, TableSuite, TopK
 from repro.analytics.batch import batch_tables
 from repro.analytics.render import render_report
 from repro.cli import main
+from repro.delivery.records import AttemptRecord, DeliveryRecord
+from repro.util.clock import DAY_SECONDS, SimClock
 
 TOP = 10
 
@@ -175,6 +181,71 @@ class TestSuiteValidation:
         del snap["acc"]["totals"]
         with pytest.raises(SnapshotError, match="missing accumulator"):
             TableSuite.from_snapshot(snap)
+
+    def test_record_without_attempts_raises(self, dataset, clock):
+        record = replace(dataset.records[0], attempts=[])
+        suite = TableSuite(clock)
+        with pytest.raises(ValueError, match="no attempts"):
+            suite.observe(record)
+        assert suite.n_records == 0
+
+
+def _delivered_at(t: float) -> DeliveryRecord:
+    return DeliveryRecord(
+        sender="a@sender.example", receiver="b@receiver.example",
+        start_time=t, end_time=t, email_flag="Normal",
+        attempts=[AttemptRecord(t, "192.0.2.1", "198.51.100.1", "250 OK", 10)],
+    )
+
+
+class TestFusedIngest:
+    def test_heavy_hitters_are_the_exact_volume_top(self, suite):
+        live = suite.live_payload(TOP)["heavy_hitters"]
+        a = suite._acc
+        for side, counter in (("senders", "sd_volume"), ("receivers", "rd_volume")):
+            assert live[side]["exact"] is True
+            assert live[side]["top"] == [
+                [key, n, 0] for key, n in a[counter].top(TOP)
+            ]
+
+    def test_v1_snapshot_with_topk_entries_restores_and_merges(
+        self, dataset, clock, payload
+    ):
+        """Snapshots from builds that still kept TopK heavy hitters carry
+        ``top_senders``/``top_receivers``; they restore and merge to the
+        same tables."""
+        half = len(dataset) // 2
+        old_snapshots = []
+        for chunk in (list(dataset)[:half], list(dataset)[half:]):
+            snap = TableSuite.from_records(chunk, clock).snapshot()
+            for name, side in (("top_senders", "sender"), ("top_receivers", "receiver")):
+                topk = TopK(50)
+                for record in chunk:
+                    topk.observe(getattr(record, f"{side}_domain"))
+                snap["acc"][name] = topk.snapshot()
+            assert snap["v"] == 1
+            old_snapshots.append(json.loads(json.dumps(snap)))
+        parent = TableSuite(clock)
+        for snap in old_snapshots:
+            parent.merge_snapshot(snap)
+        assert parent.tables(TOP) == payload
+        restored = TableSuite.from_snapshot(old_snapshots[0])
+        assert "top_senders" not in restored.snapshot()["acc"]
+
+    def test_month_keys_across_a_month_edge(self):
+        clock = SimClock()
+        edge = datetime(2022, 7, 1, tzinfo=timezone.utc).timestamp()
+        # 23:59:59, midnight, the last float before midnight (which
+        # month_key rounds up into July) and 23:59:59 of July 1st.
+        times = [edge - 1.0, edge, math.nextafter(edge, 0.0),
+                 edge + DAY_SECONDS - 1.0]
+        suite = TableSuite(clock)
+        for t in times:
+            suite.observe(_delivered_at(t))
+        expected = Counter(clock.month_key(t) for t in times)
+        assert expected == {"2022-06": 1, "2022-07": 3}
+        monthly = dict(suite.tables(TOP)["volume"]["monthly"])
+        assert {k: n for k, n in monthly.items() if n} == expected
 
 
 class TestWorldTwins:

@@ -219,6 +219,19 @@ class TestFullRunParity:
         finally:
             fastpath.enable_columnar()
 
+    def test_parallel_inherits_no_cache_switch(self, parallel_oracle):
+        # --no-cache ships to the workers too, and each worker echoes the
+        # switches it actually ran with.
+        fastpath.disable()
+        try:
+            with run_parallel_simulation(PARALLEL_CONFIG, workers=2) as run:
+                assert _lines(run.iter_records()) == parallel_oracle
+                results = run.worker_results
+        finally:
+            fastpath.enable()
+        assert len(results) == 2
+        assert [(r["fastpath"], r["columnar"]) for r in results] == [(False, False)] * 2
+
     def test_checkpointed_chain_matches_reference(self, tmp_path):
         config = _serial_config()
         cut, n_days = 6, 10

@@ -20,6 +20,7 @@ from repro.parallel import (
     SimSlice,
     SliceExecutionError,
     WorkerCrashError,
+    WorkerModeError,
     assign_slices,
     classify_many_parallel,
     count_attacker_campaigns,
@@ -196,6 +197,27 @@ class TestFailures:
         fail_hook("campaign/0:raise")
         before = set(os.listdir(tempfile.gettempdir()))
         with pytest.raises(SliceExecutionError):
+            run_parallel_simulation(SMALL, workers=2)
+        leaked = {
+            name
+            for name in set(os.listdir(tempfile.gettempdir())) - before
+            if name.startswith("repro-parallel-")
+        }
+        assert not leaked
+
+    def test_worker_mode_mismatch_raises_and_cleans_up(self, monkeypatch):
+        """A worker whose echoed switches differ from the request fails
+        the run; the result is doctored in the parent, where it is read."""
+        import tempfile
+
+        from repro.parallel import runner
+
+        real = runner._load_result
+        monkeypatch.setattr(
+            runner, "_load_result", lambda *args: {**real(*args), "columnar": None}
+        )
+        before = set(os.listdir(tempfile.gettempdir()))
+        with pytest.raises(WorkerModeError, match="columnar=None, requested columnar=True"):
             run_parallel_simulation(SMALL, workers=2)
         leaked = {
             name

@@ -342,6 +342,20 @@ class TestHotReload:
             assert body["model"]["generation"] == 3
             assert body["model"]["fingerprint"] == artifact_fingerprint(path)
 
+    def test_zero_interval_starts_no_watcher(self, artifact, tmp_path, corpus):
+        path = tmp_path / "ebrc.json"
+        shutil.copy(artifact, path)
+        config = ServeConfig(artifact=str(path), port=0, reload_interval_s=0)
+        before = set(threading.enumerate())
+        with ReproServer(config) as srv:
+            started = [t for t in threading.enumerate() if t not in before]
+            assert "repro-serve-reload" not in {t.name for t in started if t.is_alive()}
+            EBRC().fit(corpus[:800]).save(path)
+            status, _, body = _http(srv, "POST", "/admin/reload", payload={})
+            assert status == 200
+            assert body["reloaded"] is True
+            assert body["model"]["generation"] == 2
+
 
 class TestDrain:
     def test_draining_state_returns_503(self, artifact):

@@ -169,6 +169,25 @@ class TestCrashSafety:
         with pytest.raises(ShardDecodeError, match="recover_shards"):
             list(reader.iter_records())
 
+    @pytest.mark.parametrize("field, extra", [("to_ip", -1), ("from_ip", 1)])
+    def test_mismatched_attempt_arrays_raise_decode_error(
+        self, records, tmp_path, field, extra
+    ):
+        """A per-attempt array one short or one long is a typed decode
+        error, not an IndexError or a silent truncation."""
+        _write(records[:3], tmp_path)
+        shard = tmp_path / "shard-00000.jsonl"
+        lines = shard.read_text(encoding="utf-8").splitlines()
+        data = json.loads(lines[1])
+        values = data[field]
+        data[field] = values[:extra] if extra < 0 else values + values[:1] * extra
+        lines[1] = json.dumps(data)
+        shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ShardDecodeError, match=r"shard-00000\.jsonl: record 2: .*ValueError"
+        ):
+            list(ShardReader(tmp_path).iter_records())
+
 
 class TestTimeFiltering:
     def test_time_filter_matches_brute_force(self, records, tmp_path):
