@@ -32,7 +32,14 @@ from typing import Iterator
 from repro.delivery.records import DeliveryRecord
 from repro.parallel.partition import SimSlice, assign_slices, plan_slices
 from repro.parallel.runner import _join_workers, _load_result, _terminate
-from repro.parallel.worker import error_path, result_path, slice_dir
+from repro.parallel.worker import (
+    apply_modes,
+    check_modes,
+    current_modes,
+    error_path,
+    result_path,
+    slice_dir,
+)
 from repro.world.config import SimulationConfig
 from repro.world.model import WorldModel
 
@@ -65,6 +72,8 @@ def run_segment_worker(
     ``source`` is ``("config", SimulationConfig)`` for a fresh or
     config-derivable world and ``("checkpoint", path)`` for a branched
     one (workers skip the deep-digest verify — the parent did it once).
+    ``options`` carries the cut, the shard options and the parent's
+    acceleration switches, which the result file echoes.
     """
     root = Path(shard_root)
     current: str | None = None
@@ -76,6 +85,7 @@ def run_segment_worker(
         from repro.world.model import build_world
 
         until_day = options["until_day"]
+        apply_modes(options)
         t0 = time.perf_counter()
         kind, payload = source
         if kind == "config":
@@ -112,6 +122,7 @@ def run_segment_worker(
             "n_records": counts,
             "progress": out,
             "elapsed_s": time.perf_counter() - t0,
+            **current_modes(),
         }
         atomic_write_text(result_path(root, worker_index), json.dumps(result))
     except BaseException:
@@ -134,6 +145,8 @@ class ParallelSegment:
     n_records: int
     elapsed_s: float
     owns_shards: bool
+    #: Per-worker result payloads (worker-index order).
+    worker_results: list[dict] = field(default_factory=list)
     _active: list[SimSlice] = field(default_factory=list)
 
     def iter_records(self, verify: bool = False) -> Iterator[DeliveryRecord]:
@@ -200,6 +213,7 @@ def run_segment_parallel(
         "until_day": until_day,
         "shard_size": shard_size,
         "compress": compress,
+        **current_modes(),
     }
     source: tuple[str, object] = (
         ("checkpoint", str(checkpoint_path))
@@ -208,7 +222,7 @@ def run_segment_parallel(
     )
     t0 = time.perf_counter()
     buckets = assign_slices(active, workers)
-    n_records = 0
+    worker_results: list[dict] = []
     if buckets:
         ctx = multiprocessing.get_context("spawn")
         procs = []
@@ -223,23 +237,28 @@ def run_segment_parallel(
             procs.append(proc)
         try:
             _join_workers(procs, buckets, root, timeout)
+            worker_results = [
+                _load_result(root, i, bucket) for i, bucket in enumerate(buckets)
+            ]
+            check_modes(options, worker_results, buckets)
         except BaseException:
             _terminate(procs)
             if owns:
                 shutil.rmtree(root, ignore_errors=True)
             raise
-        for i, bucket in enumerate(buckets):
-            result = _load_result(root, i, bucket)
+        for result in worker_results:
             new_progress.update(result["progress"])
-            n_records += sum(result["n_records"].values())
     ordered = {s.key: new_progress[s.key] for s in slices}
     return ParallelSegment(
         world=world,
         until_day=until_day,
         shard_root=root,
         progress=ordered,
-        n_records=n_records,
+        n_records=sum(
+            sum(result["n_records"].values()) for result in worker_results
+        ),
         elapsed_s=time.perf_counter() - t0,
         owns_shards=owns,
+        worker_results=worker_results,
         _active=active,
     )

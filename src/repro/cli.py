@@ -56,11 +56,7 @@ import argparse
 import sys
 
 from repro import SimulationConfig, __version__, run_simulation
-from repro.analysis.degrees import degree_breakdown
-from repro.analysis.label import EBRCLabeler, LabeledDataset, RuleLabeler
-from repro.analysis.report import pct, render_table
 from repro.delivery.dataset import DeliveryDataset
-from repro.smtp.session import transcript_for_attempt
 
 #: Set per-invocation by :func:`main`; silences :func:`_status` output.
 _QUIET = False
@@ -399,11 +395,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     if args.until is not None or args.from_checkpoint or args.save_checkpoint:
         return _cmd_simulate_segment(args)
+    from repro.analysis.degrees import degree_breakdown
+    from repro.analysis.report import pct
+
     config = SimulationConfig(scale=args.scale, seed=args.seed)
     workers = getattr(args, "workers", 1)
     resume = getattr(args, "resume", False)
     if workers > 1 or resume:
-        from repro.delivery.dataset import DeliveryDataset
         from repro.parallel import run_parallel_simulation
 
         with run_parallel_simulation(
@@ -686,6 +684,8 @@ def _cmd_watch(args) -> int:
             yield record
 
     if args.labeler == "rules":
+        from repro.analysis.label import RuleLabeler
+
         labeler = RuleLabeler()
 
         def pairs():
@@ -774,6 +774,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.analysis.report import render_table
     from repro.obs.trace import span_tree_from_record
     from repro.stream.sink import iter_delivery_log
 
@@ -852,6 +853,7 @@ def _cmd_report(args) -> int:
             return 2
         payload = suite.tables(args.top)
     elif batch:
+        from repro.analysis.label import EBRCLabeler, RuleLabeler
         from repro.analytics.batch import batch_tables
         from repro.stream.sink import iter_delivery_log
 
@@ -898,6 +900,8 @@ def _cmd_classify(args) -> int:
             print("classify: need a training dataset or --artifact",
                   file=sys.stderr)
             return 2
+        from repro.analysis.label import EBRCLabeler
+
         dataset = DeliveryDataset.read_jsonl(dataset_path)
         corpus = dataset.ndr_messages()
         if not corpus:
@@ -1005,6 +1009,8 @@ def _cmd_loadtest(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from repro.smtp.session import transcript_for_attempt
+
     dataset = DeliveryDataset.read_jsonl(args.dataset)
     if args.index is None:
         index = next((i for i, r in enumerate(dataset) if r.bounced), 0)
@@ -1028,6 +1034,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_squat(args) -> int:
+    from repro.analysis.label import LabeledDataset, RuleLabeler
     from repro.analysis.squatting import squatting_report
 
     result = run_simulation(SimulationConfig(scale=args.scale, seed=args.seed))
@@ -1053,6 +1060,7 @@ def _cmd_squat(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
+    from repro.analysis.label import LabeledDataset, RuleLabeler
     from repro.analysis.recommendations import build_recommendations
 
     result = run_simulation(SimulationConfig(scale=args.scale, seed=args.seed))
@@ -1076,6 +1084,7 @@ def _cmd_world_info(args) -> int:
 
 def _cmd_compare(args) -> int:
     from repro.analysis.comparison import compare_to_paper, scorecard
+    from repro.analysis.label import LabeledDataset, RuleLabeler
 
     result = run_simulation(SimulationConfig(scale=args.scale, seed=args.seed))
     labeled = LabeledDataset(result.dataset, RuleLabeler())

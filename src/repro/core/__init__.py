@@ -16,6 +16,8 @@
   majority-vote template prediction → evaluate.
 """
 
+import importlib
+
 from repro.core.taxonomy import (
     BounceType,
     BounceCategory,
@@ -23,8 +25,6 @@ from repro.core.taxonomy import (
     CausativeEntity,
     RootCause,
 )
-from repro.core.drain import Drain, LogTemplate
-from repro.core.ebrc import EBRC, EBRCConfig, EBRCEvaluation
 
 __all__ = [
     "BounceType",
@@ -38,3 +38,21 @@ __all__ = [
     "EBRCConfig",
     "EBRCEvaluation",
 ]
+
+#: Names resolved on first use (PEP 562), so a process that only delivers
+#: mail — a simulation worker — never imports the classifier stack.
+_LAZY = {
+    "Drain": "repro.core.drain",
+    "LogTemplate": "repro.core.drain",
+    "EBRC": "repro.core.ebrc",
+    "EBRCConfig": "repro.core.ebrc",
+    "EBRCEvaluation": "repro.core.ebrc",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value

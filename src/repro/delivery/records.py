@@ -16,9 +16,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from repro.core.taxonomy import BounceDegree
 from repro.smtp.ndr import is_success
+
+# The number primitives json.dumps applies to finite floats and to ints.
+# Called unbound they also type-check: a value of any other type raises
+# TypeError, which sends the record to the json.dumps fallback.
+_float_text = float.__repr__
+_int_text = int.__repr__
+
+
+class _OutsideSchema(Exception):
+    """A record value the one-pass encoder leaves to ``json.dumps``."""
 
 
 def compute_message_id(sender: str, receiver: str, start_time: float) -> str:
@@ -147,7 +158,71 @@ class DeliveryRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """One line of the log: exactly the bytes of
+        ``json.dumps(self.to_json_dict(), separators=(",", ":"))``.
+
+        The line is built in one pass, in the Figure 3 key order, from the
+        primitives ``json.dumps`` uses: ``encode_basestring_ascii`` for
+        strings, ``float.__repr__`` and ``int.__repr__`` for numbers, and
+        the literals ``null``, ``true`` and ``false``.  A value outside
+        the schema — a non-finite float, an int time, a bool latency, a
+        non-bool ``ambiguous``, a text field that is not a str — makes the
+        one pass raise, and ``json.dumps`` writes the line instead.
+        """
+        start = self.start_time
+        try:
+            start_text = _float_text(start)
+            end_text = _float_text(self.end_time)
+            spam_text = _float_text(self.truth_spamminess)
+            from_ips, to_ips, results, latencies = [], [], [], []
+            truth_types, ambiguous, times = [], [], []
+            for a in self.attempts:
+                from_ips.append(_json_str(a.from_ip))
+                to_ips.append(_json_str(a.to_ip))
+                results.append(_json_str(a.result))
+                latency = a.latency_ms
+                if latency.__class__ is bool:
+                    raise _OutsideSchema
+                latencies.append(_int_text(latency))
+                truth_type = a.truth_type
+                truth_types.append(
+                    "null" if truth_type is None else _json_str(truth_type)
+                )
+                if a.ambiguous is True:
+                    ambiguous.append("true")
+                elif a.ambiguous is False:
+                    ambiguous.append("false")
+                else:
+                    raise _OutsideSchema
+                t = a.t
+                # Equal floats share a repr, except 0.0 and -0.0; an int
+                # equal to start_time is spelled differently.
+                if t == start and start and t.__class__ is float:
+                    times.append(start_text)
+                else:
+                    times.append(_float_text(t))
+            times_text = ",".join(times)
+            # Finite reprs hold digits, ".", "e", "+" and "-"; only "inf"
+            # and "nan", which json.dumps spells differently, hold an "n".
+            if "n" in f"{start_text}{end_text}{spam_text}{times_text}":
+                raise _OutsideSchema
+            return (
+                f'{{"from":{_json_str(self.sender)},'
+                f'"to":{_json_str(self.receiver)},'
+                f'"start_time":{start_text},"end_time":{end_text},'
+                f'"from_ip":[{",".join(from_ips)}],'
+                f'"to_ip":[{",".join(to_ips)}],'
+                f'"delivery_result":[{",".join(results)}],'
+                f'"delivery_latency":[{",".join(latencies)}],'
+                f'"email_flag":{_json_str(self.email_flag)},'
+                f'"truth_types":[{",".join(truth_types)}],'
+                f'"truth_ambiguous":[{",".join(ambiguous)}],'
+                f'"truth_tags":[{",".join(map(_json_str, self.truth_tags))}],'
+                f'"truth_spamminess":{spam_text},'
+                f'"attempt_times":[{times_text}]}}'
+            )
+        except (TypeError, _OutsideSchema):
+            return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeliveryRecord":

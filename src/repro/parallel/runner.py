@@ -53,10 +53,11 @@ from repro.parallel.errors import (
     ResumeError,
     SliceExecutionError,
     WorkerCrashError,
-    WorkerModeError,
 )
 from repro.parallel.partition import SimSlice, assign_slices, plan_slices
 from repro.parallel.worker import (
+    check_modes,
+    current_modes,
     error_path,
     result_path,
     run_worker,
@@ -237,7 +238,6 @@ def run_parallel_simulation(
     )
     root.mkdir(parents=True, exist_ok=True)
 
-    from repro.core import fastpath
     from repro.obs import metrics as obs_metrics
 
     options = {
@@ -245,12 +245,7 @@ def run_parallel_simulation(
         "compress": compress,
         "metrics": obs_metrics.enabled(),
         "analytics": analytics,
-        # Workers inherit the parent's fastpath and columnar switches so
-        # a ``--no-cache`` / ``--no-columnar`` differential run exercises
-        # the reference code in every process.  Deliberately NOT part of
-        # the resume fingerprint: the record bytes are identical either way.
-        "fastpath": fastpath.enabled(),
-        "columnar": fastpath.columnar_enabled(),
+        **current_modes(),
     }
 
     to_run = shipped
@@ -307,14 +302,7 @@ def run_parallel_simulation(
             worker_results = [
                 _load_result(root, i, bucket) for i, bucket in enumerate(buckets)
             ]
-            for i, (result, bucket) in enumerate(zip(worker_results, buckets)):
-                for mode in ("fastpath", "columnar"):
-                    if result.get(mode) != options[mode]:
-                        raise WorkerModeError(
-                            f"worker {i} (slices: {_bucket_keys(bucket)}) ran "
-                            f"with {mode}={result.get(mode)!r}, requested "
-                            f"{mode}={options[mode]!r}"
-                        )
+            check_modes(options, worker_results, buckets)
         except BaseException:
             _terminate(procs)
             if owns:

@@ -52,6 +52,46 @@ def slice_dir(shard_root: Path, slice_index: int) -> Path:
     return Path(shard_root) / f"slice-{slice_index:04d}"
 
 
+def current_modes() -> dict:
+    """This process's acceleration switches.  The parent adds them to a
+    worker's options, so a ``--no-cache`` / ``--no-columnar``
+    differential run exercises the reference code in every process; the
+    worker echoes its own in its result file.  They never enter a shard
+    fingerprint: the record bytes are identical either way."""
+    from repro.core import fastpath
+
+    return {
+        "fastpath": fastpath.enabled(),
+        "columnar": fastpath.columnar_enabled(),
+    }
+
+
+def apply_modes(options: dict) -> None:
+    """Worker side: switch off what the parent's options switch off."""
+    from repro.core import fastpath
+
+    if not options.get("fastpath", True):
+        fastpath.disable()
+    if not options.get("columnar", True):
+        fastpath.disable_columnar()
+
+
+def check_modes(options: dict, results: list[dict], buckets: list) -> None:
+    """Parent side: raise :class:`WorkerModeError` for the first worker
+    whose echoed switches differ from the ones ``options`` requested."""
+    from repro.parallel.errors import WorkerModeError
+
+    for i, (result, bucket) in enumerate(zip(results, buckets)):
+        for mode in ("fastpath", "columnar"):
+            if result.get(mode) != options[mode]:
+                keys = ", ".join(s.key for s in bucket)
+                raise WorkerModeError(
+                    f"worker {i} (slices: {keys}) ran with "
+                    f"{mode}={result.get(mode)!r}, requested "
+                    f"{mode}={options[mode]!r}"
+                )
+
+
 def _apply_fail_hook(slice_key: str) -> None:
     hook = os.environ.get(FAIL_HOOK_ENV)
     if not hook or ":" not in hook:
@@ -88,7 +128,6 @@ def run_worker(
     root = Path(shard_root)
     current: str | None = None
     try:
-        from repro.core import fastpath
         from repro.obs import export as obs_export
         from repro.obs import metrics as obs_metrics
         from repro.obs import profile as obs_profile
@@ -100,10 +139,7 @@ def run_worker(
 
         if options.get("metrics"):
             obs_metrics.enable()
-        if not options.get("fastpath", True):
-            fastpath.disable()
-        if not options.get("columnar", True):
-            fastpath.disable_columnar()
+        apply_modes(options)
         fault_plan = faults.active_plan()
         t0 = time.perf_counter()
         with obs_profile.stage("world-build"):
@@ -137,10 +173,7 @@ def run_worker(
             "slices": [s.key for s in slices],
             "n_records": counts,
             "elapsed_s": time.perf_counter() - t0,
-            # The effective switches, which the parent checks against its
-            # request.
-            "fastpath": fastpath.enabled(),
-            "columnar": fastpath.columnar_enabled(),
+            **current_modes(),
             "snapshot": obs_export.build_snapshot() if options.get("metrics") else None,
             "analytics": suite.snapshot() if suite is not None else None,
         }

@@ -20,17 +20,8 @@ shards) and ``repro-bounce watch`` (replay a log through OnlineEBRC +
 monitors).
 """
 
-from repro.stream.monitor import (
-    Alert,
-    BlocklistMonitor,
-    BounceRateMonitor,
-    BounceTypeMonitor,
-    DeliverabilityMonitor,
-    MisconfigMonitor,
-    RecordClassifier,
-    SlidingWindowCounter,
-)
-from repro.stream.online import OnlineEBRC, OnlineEBRCStats
+import importlib
+
 from repro.stream.runner import (
     StreamingSimulation,
     WorkloadFn,
@@ -72,3 +63,26 @@ __all__ = [
     "merge_spec_streams",
     "stream_simulation",
 ]
+
+#: Names resolved on first use (PEP 562): the monitors and the online
+#: EBRC pull in the classifier stack, which a simulation worker never runs.
+_LAZY = {
+    "Alert": "repro.stream.monitor",
+    "BlocklistMonitor": "repro.stream.monitor",
+    "BounceRateMonitor": "repro.stream.monitor",
+    "BounceTypeMonitor": "repro.stream.monitor",
+    "DeliverabilityMonitor": "repro.stream.monitor",
+    "MisconfigMonitor": "repro.stream.monitor",
+    "RecordClassifier": "repro.stream.monitor",
+    "SlidingWindowCounter": "repro.stream.monitor",
+    "OnlineEBRC": "repro.stream.online",
+    "OnlineEBRCStats": "repro.stream.online",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value

@@ -240,10 +240,9 @@ class ShardWriter:
     def _open_shard(self) -> None:
         name = self._shard_name(len(self._shards))
         path = self.directory / name
-        if self.compress:
-            self._fh = gzip.open(path, "wt", encoding="utf-8")
-        else:
-            self._fh = path.open("w", encoding="utf-8")
+        # Binary handles: each line is encoded once, and the same bytes
+        # are written and hashed.
+        self._fh = gzip.open(path, "wb") if self.compress else path.open("wb")
         self._hash = hashlib.sha256()
         self._shard_count = 0
 
@@ -290,9 +289,8 @@ class ShardWriter:
             self._fault_plan.on_shard_write(str(self.directory), self.n_written + 1)
         if self._fh is None:
             self._open_shard()
-        line = record.to_json() + "\n"
-        self._fh.write(line)
-        payload = line.encode("utf-8")
+        payload = (record.to_json() + "\n").encode("utf-8")
+        self._fh.write(payload)
         self._hash.update(payload)
         if self._obs_on:
             self._m_records.inc()

@@ -42,6 +42,15 @@ class TestSegmentedSimulate:
                      "--workers", "2", "--out", str(out), "--quiet"]) == 0
         assert out.read_bytes() == seg2.read_bytes()
 
+    def test_parallel_tail_no_cache_matches(self, chain, tmp_path):
+        # --no-cache reaches segment workers restored from the checkpoint:
+        # a worker that ran other switches would raise WorkerModeError.
+        _, _, _, seg2, ckpt = chain
+        out = tmp_path / "seg2-par-no-cache.jsonl"
+        assert main(["simulate", "--from-checkpoint", str(ckpt), "--no-cache",
+                     "--workers", "2", "--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == seg2.read_bytes()
+
     def test_checkpoint_layout(self, chain):
         *_, ckpt = chain
         meta = json.loads((ckpt / "meta.json").read_text())

@@ -18,12 +18,14 @@ from repro.checkpoint import (
     fresh_progress,
     load_checkpoint,
     run_segment,
+    run_segment_parallel,
     save_checkpoint,
 )
 from repro.core import fastpath
 from repro.core.taxonomy import BounceType
 from repro.delivery.columnar import ColumnarExecutor, make_executor
 from repro.delivery.engine import DeliveryEngine, _require_budget
+from repro.obs import metrics as obs_metrics
 from repro.parallel import run_parallel_simulation
 from repro.stream.runner import iter_simulation
 from repro.util.clock import DAY_SECONDS, DEFAULT_START
@@ -231,6 +233,54 @@ class TestFullRunParity:
             fastpath.enable()
         assert len(results) == 2
         assert [(r["fastpath"], r["columnar"]) for r in results] == [(False, False)] * 2
+
+    def test_segment_workers_inherit_no_cache_switch(self):
+        # Checkpoint segment workers get the same switches, and echo them.
+        config = _serial_config()
+        cut = 6
+        serial = run_segment(build_world(config), fresh_progress(config), cut)
+        oracle = _lines(serial.records)
+        fastpath.disable()
+        try:
+            with run_segment_parallel(
+                build_world(config), fresh_progress(config), cut, 2
+            ) as segment:
+                lines = _lines(segment.iter_records())
+                results = segment.worker_results
+        finally:
+            fastpath.enable()
+        assert len(results) == 2
+        assert [(r["fastpath"], r["columnar"]) for r in results] == [(False, False)] * 2
+        assert lines == oracle
+
+    @staticmethod
+    def _worker_cache_events() -> float:
+        """Fast-path cache events a 2-worker run merges from its workers."""
+        obs_metrics.enable()
+        obs_metrics.reset()
+        fastpath.reset()
+        try:
+            with run_parallel_simulation(PARALLEL_CONFIG, workers=2) as run:
+                for _ in run.iter_records():
+                    pass
+            family = obs_metrics.get_registry().get(
+                "repro_fastpath_cache_events_total"
+            )
+            return 0.0 if family is None else family.total
+        finally:
+            obs_metrics.disable()
+            obs_metrics.reset()
+            fastpath.reset()
+
+    def test_no_cache_reaches_worker_caches(self):
+        # --no-cache must switch the caches off, not just the flag: both
+        # sides of the differential, with the fastpath on and off.
+        assert self._worker_cache_events() > 0
+        fastpath.disable()
+        try:
+            assert self._worker_cache_events() == 0
+        finally:
+            fastpath.enable()
 
     def test_checkpointed_chain_matches_reference(self, tmp_path):
         config = _serial_config()
