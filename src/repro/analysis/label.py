@@ -16,13 +16,15 @@ the groupings every downstream analysis needs.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
-from repro.core.ebrc import EBRC, EBRCConfig
 from repro.core.labeling import UNKNOWN_TYPE_PATTERNS, is_ambiguous_text, match_rules
 from repro.core.taxonomy import BounceType
 from repro.delivery.dataset import DeliveryDataset
 from repro.delivery.records import DeliveryRecord
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.ebrc import EBRCConfig
 
 
 class NDRLabeler(Protocol):
@@ -59,6 +61,10 @@ class EBRCLabeler:
     """The full EBRC pipeline, fitted lazily on the dataset's NDR corpus."""
 
     def __init__(self, config: EBRCConfig | None = None) -> None:
+        # Imported here: the classifier stack (and numpy) loads only when
+        # a caller asks for the EBRC, not for every ``repro.analysis`` use.
+        from repro.core.ebrc import EBRC
+
         self.ebrc = EBRC(config)
         self._fitted = False
         self._cache: dict[str, BounceType | None] = {}

@@ -18,6 +18,7 @@ at 1, 2, or any number of workers.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import shutil
@@ -37,6 +38,7 @@ from repro.parallel.worker import (
     check_modes,
     current_modes,
     error_path,
+    exit_worker,
     result_path,
     slice_dir,
 )
@@ -94,6 +96,9 @@ def run_segment_worker(
             from repro.checkpoint.store import load_checkpoint
 
             world = load_checkpoint(payload, verify=False).world
+        # As in run_worker: the world lives until exit, so the
+        # collector's full passes need not rescan it.
+        gc.freeze()
         rng = RandomSource(world.config.seed, name="sim")
         out: dict[str, dict] = {}
         counts: dict[str, int] = {}
@@ -132,6 +137,7 @@ def run_segment_worker(
             encoding="utf-8",
         )
         sys.exit(1)
+    exit_worker()
 
 
 @dataclass
@@ -225,17 +231,18 @@ def run_segment_parallel(
     worker_results: list[dict] = []
     if buckets:
         ctx = multiprocessing.get_context("spawn")
-        procs = []
-        for i, bucket in enumerate(buckets):
-            payload = [(s, progress[s.key]) for s in bucket]
-            proc = ctx.Process(
+        procs = [
+            ctx.Process(
                 target=run_segment_worker,
-                args=(i, source, payload, str(root), options),
+                args=(i, source, [(s, progress[s.key]) for s in bucket],
+                      str(root), options),
                 daemon=True,
             )
-            proc.start()
-            procs.append(proc)
+            for i, bucket in enumerate(buckets)
+        ]
         try:
+            for proc in procs:
+                proc.start()
             _join_workers(procs, buckets, root, timeout)
             worker_results = [
                 _load_result(root, i, bucket) for i, bucket in enumerate(buckets)

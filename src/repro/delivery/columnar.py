@@ -6,12 +6,12 @@ policy gauntlet constants, the (sender country, receiver country) network
 probabilities, the recipient's status interval.  This module splits each
 day's sends into chunks and runs them in two stages:
 
-1. **Vectorized prepass** (:meth:`ColumnarExecutor._prepass`): intern the
-   chunk's receiver domains, gather each email's domain-level facts from
-   a numpy structured table by interned id, and evaluate every pure
-   predicate (plan validity, envelope quota/size comparisons) as whole-
-   column operations.  Per-address and per-sender facts ride the world's
-   interval-guarded caches through one memoised pass.
+1. **Prepass** (:meth:`ColumnarExecutor._prepass`): look up each unique
+   receiver domain's plan row, recipient status span and sender DNS span
+   once per chunk through the world's interval-guarded caches, then
+   check every email's three validity intervals in one fused plain
+   comparison.  A whole-column numpy stage measured slower than this
+   comparison, so the simulator does not import numpy.
 2. **Sequential RNG executor** (:meth:`ColumnarExecutor.deliver_chunk`):
    walk the chunk in input order and replay the *exact* per-email draw
    sequence of the reference path against the plan — same draws, same
@@ -24,7 +24,7 @@ underlying :class:`random.Random` methods.  Binding survives checkpoint
 restore because :meth:`RandomSource.setstate` mutates the wrapped
 ``Random`` in place rather than replacing it.
 
-Stateful or rare paths are not vectorized — they drop back to the
+Stateful or rare paths are not planned — they drop back to the
 reference code:
 
 - plan rows invalidated by a misconfiguration/registration window or a
@@ -49,11 +49,6 @@ from math import cos, exp, log, pi, sin, sqrt
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-try:  # numpy ships with the toolchain; stay importable without it.
-    import numpy as np
-except Exception:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-
 from repro.auth.evaluator import AuthFailureMode
 from repro.core.taxonomy import BounceType
 from repro.delivery.records import AttemptRecord, DeliveryRecord
@@ -70,7 +65,7 @@ from repro.workload.spec import EmailSpec
 if TYPE_CHECKING:  # pragma: no cover
     from repro.delivery.engine import DeliveryEngine
 
-__all__ = ["ColumnarExecutor", "make_executor", "DEFAULT_CHUNK_SIZE"]
+__all__ = ["ColumnarExecutor", "DEFAULT_CHUNK_SIZE"]
 
 #: Upper bound on emails per chunk.  Chunks are additionally cut at
 #: simulated-day boundaries; this bounds prepass working-set size.
@@ -79,8 +74,9 @@ DEFAULT_CHUNK_SIZE = 2048
 #: Sentinel for "no envelope limit" on domains without a modelled service.
 _NO_LIMIT = 1 << 62
 
-#: Chunks smaller than this evaluate the prepass predicates as plain
-#: comparisons: numpy's per-call fixed costs dominate below it.
+#: Unused here: ``benchmarks/perf/workloads.py`` imports it to split its
+#: traced chunk counts at the size where an older prepass switched to
+#: numpy.  Delete it with that import.
 _SCALAR_CUTOFF = 64
 
 #: Local missing-key sentinel (the greylist store itself may be None).
@@ -123,29 +119,6 @@ _STATUS_CODE = {
     RecipientStatus.FULL: 3,
     RecipientStatus.OVER_RATE: 4,
 }
-
-#: Structured per-domain fact table gathered by interned id in the
-#: prepass.  ``start``/``end`` bound the row's validity; the envelope
-#: limits feed the vectorized quota/size comparisons.
-_DOMAIN_DTYPE = None if np is None else np.dtype(
-    [
-        ("start", np.float64),
-        ("end", np.float64),
-        ("max_rcpt", np.int64),
-        ("max_bytes", np.int64),
-    ]
-)
-
-
-def make_executor(
-    engine: "DeliveryEngine", chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> "ColumnarExecutor | None":
-    """Build a chunk executor for ``engine``, or ``None`` when numpy is
-    unavailable (the engine then stays on the per-email path)."""
-    if np is None:
-        return None
-    return ColumnarExecutor(engine, chunk_size)
-
 
 class _DomainRow:
     """Engine-lifetime, RNG-free facts of one receiver domain.
@@ -341,7 +314,6 @@ class ColumnarExecutor:
         return plan
 
     def _prepass(self, specs: list[EmailSpec]) -> _ChunkPlan:
-        n = len(specs)
         world = self._engine.world
         row_for = self._row_for
         status_span = world.recipient_status_span
@@ -355,14 +327,12 @@ class ColumnarExecutor:
         domains = [spec.receiver.rsplit("@", 1)[-1] for spec in specs]
         sender_domains = [spec.sender.rsplit("@", 1)[-1] for spec in specs]
 
-        dom_index: dict[str, int] = {}
-        unique_rows: list[_DomainRow] = []
+        dom_rows: dict[str, _DomainRow] = {}
         addr_memo: dict[str, tuple[int, float, float]] = {}
         sender_memo: dict[str, tuple[bool, float, float]] = {}
         for spec, t, domain, sdomain in zip(specs, ts, domains, sender_domains):
-            if domain not in dom_index:
-                dom_index[domain] = len(unique_rows)
-                unique_rows.append(row_for(domain, t))
+            if domain not in dom_rows:
+                dom_rows[domain] = row_for(domain, t)
             address = spec.receiver
             if address not in addr_memo:
                 status, start, end = status_span(address, t)
@@ -372,57 +342,15 @@ class ColumnarExecutor:
 
         addr_entries = [addr_memo[spec.receiver] for spec in specs]
         sender_entries = [sender_memo[sdomain] for sdomain in sender_domains]
-        rows = [unique_rows[dom_index[domain]] for domain in domains]
+        rows = [dom_rows[domain] for domain in domains]
 
-        if n < _SCALAR_CUTOFF:
-            # Day-bounded chunks at small simulation scales hold only a
-            # handful of emails; below the cutoff the numpy round-trip
-            # (fromiter, gather, tolist) costs more than it saves, so the
-            # same predicates run as one fused plain comparison.
-            fallback_l = [
-                not (row.start <= t < row.end
-                     and a[1] <= t < a[2] and s[1] <= t < s[2])
-                for t, row, a, s in zip(ts, rows, addr_entries, sender_entries)
-            ]
-            return _ChunkPlan(
-                rows,
-                domains,
-                sender_domains,
-                addr_entries,
-                sender_entries,
-                fallback_l,
-            )
-
-        # Columnar stage: gather domain facts by interned id, evaluate
-        # the pure predicates over whole columns.
-        ids = [dom_index[domain] for domain in domains]
-        ids_col = np.fromiter(ids, np.intp, n)
-        t_col = np.fromiter(ts, np.float64, n)
-        facts = np.fromiter(
-            (
-                (row.start, row.end, row.max_rcpt, row.max_bytes)
-                for row in unique_rows
-            ),
-            dtype=_DOMAIN_DTYPE,
-            count=len(unique_rows),
-        )
-        gathered = facts[ids_col]
-        valid = (gathered["start"] <= t_col) & (t_col < gathered["end"])
-        valid &= np.fromiter(
-            (e[1] <= t < e[2] for t, e in zip(ts, addr_entries)), np.bool_, n
-        )
-        valid &= np.fromiter(
-            (e[1] <= t < e[2] for t, e in zip(ts, sender_entries)), np.bool_, n
-        )
-        fallback = ~valid
-
+        fallback = [
+            not (row.start <= t < row.end
+                 and a[1] <= t < a[2] and s[1] <= t < s[2])
+            for t, row, a, s in zip(ts, rows, addr_entries, sender_entries)
+        ]
         return _ChunkPlan(
-            rows,
-            domains,
-            sender_domains,
-            addr_entries,
-            sender_entries,
-            fallback.tolist(),
+            rows, domains, sender_domains, addr_entries, sender_entries, fallback
         )
 
     # -- execution ---------------------------------------------------------------

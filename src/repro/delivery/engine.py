@@ -146,13 +146,12 @@ class DeliveryEngine:
         )
         # Columnar batch execution (plan-backed first attempts).  Tracing
         # samples emails with stateful side effects inside the loop, so a
-        # traced engine always runs the reference path; the executor also
-        # declines when numpy is unavailable.
+        # traced engine always runs the reference path.
         self._batch = None
         if fastpath.columnar_enabled() and self._tracer is None:
-            from repro.delivery.columnar import make_executor
+            from repro.delivery.columnar import ColumnarExecutor
 
-            self._batch = make_executor(self)
+            self._batch = ColumnarExecutor(self)
 
     # -- checkpoint support -------------------------------------------------------
 

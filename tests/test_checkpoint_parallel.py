@@ -119,3 +119,38 @@ class TestParallelSegmentLifecycle:
         monkeypatch.setenv(FAIL_HOOK_ENV, "campaign/0:raise")
         with pytest.raises(SliceExecutionError, match="campaign/0"):
             run_segment_parallel(world, fresh_progress(config), CUT, 2)
+
+    def test_failed_start_stops_started_workers(self, monkeypatch, tmp_path):
+        # Starting worker 1 fails while worker 0 runs: the failure guard
+        # must stop worker 0 and remove the owned shard root.
+        import multiprocessing.context
+        import tempfile
+
+        from repro.parallel.worker import FAIL_HOOK_ENV
+
+        config = _config()
+        world = build_world(config)
+        # Every slice hangs, so a worker nobody stops stays alive.
+        monkeypatch.setenv(FAIL_HOOK_ENV, "/:hang")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        real_start = multiprocessing.context.SpawnProcess.start
+        started = []
+
+        def start(self):
+            if started:
+                raise OSError("injected start failure")
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start)
+        try:
+            with pytest.raises(OSError, match="injected start failure"):
+                run_segment_parallel(world, fresh_progress(config), CUT, 2)
+            started[0].join(timeout=5.0)
+            assert not started[0].is_alive()
+            assert list(tmp_path.glob("repro-ckpt-*")) == []
+        finally:
+            for proc in started:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join(timeout=5.0)

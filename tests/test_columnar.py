@@ -23,7 +23,7 @@ from repro.checkpoint import (
 )
 from repro.core import fastpath
 from repro.core.taxonomy import BounceType
-from repro.delivery.columnar import ColumnarExecutor, make_executor
+from repro.delivery.columnar import ColumnarExecutor
 from repro.delivery.engine import DeliveryEngine, _require_budget
 from repro.obs import metrics as obs_metrics
 from repro.parallel import run_parallel_simulation
@@ -110,8 +110,7 @@ def _engine_pair(world, seed=99):
     reference = DeliveryEngine(world, RandomSource(seed))
     batched = DeliveryEngine(world, RandomSource(seed))
     executor = batched._batch
-    if executor is None:
-        pytest.skip("numpy unavailable: the engine stays on the reference path")
+    assert isinstance(executor, ColumnarExecutor)
     return reference, batched, executor
 
 
@@ -120,8 +119,9 @@ class TestChunkDifferential:
 
     @pytest.mark.parametrize("chunk_size", [40, 200])
     def test_records_and_cursors_match(self, world, chunk_size):
-        # 40 stays under the scalar cutoff; 200 exercises the numpy
-        # prepass.  Both replay against the same reference engine.
+        # 40 and 200 sit either side of the 64-row size where the prepass
+        # once switched to numpy; both replay against the same reference
+        # engine.
         reference, batched, executor = _engine_pair(world)
         specs = _make_specs(world, 3 * chunk_size)
         for lo in range(0, len(specs), chunk_size):
@@ -144,9 +144,7 @@ class TestChunkDifferential:
 
     def test_chunks_never_cross_day_boundaries(self, world, monkeypatch):
         engine = DeliveryEngine(world, RandomSource(7))
-        executor = make_executor(engine, chunk_size=10_000)
-        if executor is None:
-            pytest.skip("numpy unavailable")
+        executor = ColumnarExecutor(engine, chunk_size=10_000)
         seen: list[list[EmailSpec]] = []
         real = ColumnarExecutor.deliver_chunk
 
@@ -165,9 +163,7 @@ class TestChunkDifferential:
 
     def test_chunk_size_cap_respected(self, world):
         engine = DeliveryEngine(world, RandomSource(9))
-        executor = make_executor(engine, chunk_size=16)
-        if executor is None:
-            pytest.skip("numpy unavailable")
+        executor = ColumnarExecutor(engine, chunk_size=16)
         specs = sorted(_make_specs(world, 80, seed=10, days=1.0), key=lambda s: s.t)
         out = list(executor.deliver_stream(iter(specs)))
         assert len(out) == len(specs)
@@ -383,8 +379,7 @@ class TestBudgetGuards:
 
     def test_columnar_path_guards_mutated_budget(self, small_world):
         engine = DeliveryEngine(small_world, RandomSource(4))
-        if engine._batch is None:
-            pytest.skip("numpy unavailable")
+        assert isinstance(engine._batch, ColumnarExecutor)
         # Low-spamminess specs take the Normal budget (max_attempts).
         specs = [
             EmailSpec(
@@ -445,8 +440,7 @@ class TestReferencePaths:
         # confirmation budget, not the full retry budget.
         config = small_world.config
         engine = DeliveryEngine(small_world, RandomSource(56))
-        if engine._batch is None:
-            pytest.skip("numpy unavailable")
+        assert isinstance(engine._batch, ColumnarExecutor)
         spec = EmailSpec(
             t=small_world.clock.start_ts + 2 * DAY_SECONDS,
             sender=small_world.benign_sender_domains()[0].users[0].address,

@@ -3,9 +3,10 @@
 A spawned worker imports the modules its entry point needs and, because
 ``spawn`` re-imports the parent's main module, the CLI too under
 ``repro simulate --workers N``.  Neither may drag in the classifier and
-monitoring stack: ``repro.core`` and ``repro.stream`` resolve those
-exports on first use, and the CLI imports its analyses inside the
-commands that run them.
+monitoring stack or numpy: ``repro.core`` and ``repro.stream`` resolve
+those exports on first use, the CLI imports its analyses inside the
+commands that run them, the columnar engine is plain Python, and the
+analyses load the EBRC only when a caller builds one.
 """
 
 import ast
@@ -13,6 +14,7 @@ import importlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,11 @@ HEAVY = (
     "repro.core.classifier",
     "repro.stream.monitor",
     "repro.stream.online",
+    "numpy",
 )
+
+#: The EBRC and what it alone needs; the analyses import Drain itself.
+EBRC_STACK = ("repro.core.ebrc", "numpy")
 
 WORKER_MODULES = (
     "repro.parallel.worker",
@@ -38,11 +44,8 @@ WORKER_MODULES = (
 )
 
 
-def _heavy_after_importing(modules) -> list[str]:
-    """The ``HEAVY`` modules a fresh interpreter holds after ``modules``."""
-    code = "import sys\n" + "".join(f"import {m}\n" for m in modules) + (
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
-    )
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on ``src/``; its stdout."""
     env = dict(
         os.environ,
         PYTHONPATH=str(_SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""),
@@ -52,14 +55,59 @@ def _heavy_after_importing(modules) -> list[str]:
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def _loaded_after_importing(modules, watched) -> list[str]:
+    """The ``watched`` modules a fresh interpreter holds after ``modules``."""
+    return _run_fresh(
+        "import sys\n" + "".join(f"import {m}\n" for m in modules)
+        + f"print(' '.join(m for m in {watched!r} if m in sys.modules))"
+    ).split()
 
 
 @pytest.mark.parametrize(
-    "modules", [WORKER_MODULES, ("repro.cli",)], ids=["worker", "cli"]
+    "modules, watched",
+    [
+        (WORKER_MODULES, HEAVY),
+        (("repro.cli",), HEAVY),
+        (("repro.analysis.degrees",), EBRC_STACK),
+        (("repro.analytics.suite",), EBRC_STACK),
+    ],
+    ids=["worker", "cli", "analysis.degrees", "analytics.suite"],
 )
-def test_import_leaves_classifier_stack_unloaded(modules):
-    assert _heavy_after_importing(modules) == []
+def test_import_leaves_classifier_stack_unloaded(modules, watched):
+    assert _loaded_after_importing(modules, watched) == []
+
+
+def test_simulation_runs_without_numpy(tmp_path):
+    """With numpy blocked, the engine still builds its columnar executor
+    and the simulation writes the bytes of an unblocked run."""
+    from repro.stream.runner import stream_simulation
+    from repro.world.config import SimulationConfig
+
+    out = tmp_path / "blocked.jsonl"
+    _run_fresh(textwrap.dedent(f"""
+        import sys
+        sys.modules["numpy"] = None
+        from repro.delivery.columnar import ColumnarExecutor
+        from repro.delivery.engine import DeliveryEngine
+        from repro.stream.runner import stream_simulation
+        from repro.util.rng import RandomSource
+        from repro.world.config import SimulationConfig
+        from repro.world.model import build_world
+
+        config = SimulationConfig(scale=0.005, seed=3)
+        engine = DeliveryEngine(build_world(config), RandomSource(3))
+        assert isinstance(engine._batch, ColumnarExecutor), engine._batch
+        with open({str(out)!r}, "w", encoding="utf-8") as fh:
+            for record in stream_simulation(config).records:
+                print(record.to_json(), file=fh)
+    """))
+    run = stream_simulation(SimulationConfig(scale=0.005, seed=3))
+    assert out.read_text(encoding="utf-8") == "".join(
+        record.to_json() + "\n" for record in run.records
+    )
 
 
 @pytest.mark.parametrize("package", ["repro.core", "repro.stream"])
