@@ -16,10 +16,15 @@ __all__ = [
     "ApiError",
     "BadRequest",
     "Draining",
+    "HeaderTooLarge",
+    "MalformedRequest",
     "MethodNotAllowed",
     "NotFound",
     "PayloadTooLarge",
     "TooManyRequests",
+    "Unimplemented",
+    "UriTooLong",
+    "VersionNotSupported",
     "error_body",
 ]
 
@@ -29,6 +34,10 @@ class ApiError(Exception):
 
     status = 500
     code = "internal"
+    #: The request's framing cannot be trusted (its body may be unread
+    #: or cut short), so the reply says ``Connection: close`` and the
+    #: connection carries no further request.
+    closes = False
 
     def __init__(self, message: str, *, retry_after: int | None = None,
                  details: dict | None = None) -> None:
@@ -51,6 +60,12 @@ class BadRequest(ApiError):
     code = "bad_request"
 
 
+class MalformedRequest(BadRequest):
+    """A broken request line, header line, ``Content-Length`` or body."""
+
+    closes = True
+
+
 class NotFound(ApiError):
     status = 404
     code = "not_found"
@@ -62,8 +77,42 @@ class MethodNotAllowed(ApiError):
 
 
 class PayloadTooLarge(ApiError):
+    # The body is left unread, so it must not be parsed as a request.
     status = 413
     code = "payload_too_large"
+    closes = True
+
+
+class UriTooLong(ApiError):
+    """A request line over 65536 bytes."""
+
+    status = 414
+    code = "uri_too_long"
+    closes = True
+
+
+class HeaderTooLarge(ApiError):
+    """A header line over 65536 bytes, or too many header lines."""
+
+    status = 431
+    code = "header_too_large"
+    closes = True
+
+
+class Unimplemented(ApiError):
+    """An unknown method, or a ``Transfer-Encoding`` body."""
+
+    status = 501
+    code = "not_implemented"
+    closes = True
+
+
+class VersionNotSupported(ApiError):
+    """A request line naming HTTP/2 or later."""
+
+    status = 505
+    code = "http_version_not_supported"
+    closes = True
 
 
 class TooManyRequests(ApiError):

@@ -2,7 +2,10 @@
 
 Built on stdlib ``http.server.ThreadingHTTPServer`` (one thread per
 connection, HTTP/1.1 keep-alive) so the daemon stays dependency-free.
-The request path is::
+The handler parses the request head itself (a plain dict of headers,
+not ``email.parser``) and writes each reply as one bytes string; a
+malformed head or body framing gets a typed JSON error and a closed
+connection.  The request path is::
 
     accept -> parse -> [draining? -> 503] -> read body (bounded)
            -> [gated endpoint? admission gate -> 429/503]
@@ -33,15 +36,26 @@ import signal
 import socket
 import threading
 from dataclasses import dataclass
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from time import perf_counter, sleep
+from time import perf_counter, sleep, time
 
 from repro import __version__
 from repro.core.ebrc import EBRCHandle
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import build_snapshot
-from repro.serve.errors import ApiError, Draining, PayloadTooLarge, error_body
+from repro.serve.errors import (
+    ApiError,
+    Draining,
+    HeaderTooLarge,
+    MalformedRequest,
+    PayloadTooLarge,
+    Unimplemented,
+    UriTooLong,
+    VersionNotSupported,
+    error_body,
+)
 from repro.serve.handlers import GATED_PATHS, Response, dispatch
 from repro.serve.queue import AdmissionGate
 from repro.serve.reload import ArtifactWatcher
@@ -67,6 +81,18 @@ class ServeConfig:
     keepalive_timeout_s: float = 5.0
     snapshot_out: str | None = None
     port_file: str | None = None
+
+
+#: ``http.client``'s limits on a request head: bytes per line (CRLF
+#: included), and lines per header block (its closing blank line included).
+_MAX_LINE = 65536
+_MAX_HEADER_LINES = 100
+#: The reply to each framing status ``send_error`` is asked for.
+_FRAMING_ERRORS = {
+    cls.status: cls
+    for cls in (MalformedRequest, UriTooLong, HeaderTooLarge,
+                Unimplemented, VersionNotSupported)
+}
 
 
 class _ConnectionRegistry:
@@ -117,12 +143,16 @@ def _make_handler(state: ServerState, gate: AdmissionGate,
         protocol_version = "HTTP/1.1"
         server_version = f"repro-serve/{__version__}"
         timeout = config.keepalive_timeout_s
-        # A response is two small writes (headers, then body); with Nagle
-        # on, the body write stalls ~40ms behind the client's delayed ACK
-        # and caps a keep-alive connection near 25 req/s.
+        # With Nagle on, a reply written behind unacknowledged bytes (a
+        # 100 Continue, a pipelined reply) stalls ~40ms on the client's
+        # delayed ACK.
         disable_nagle_algorithm = True
-        # Fully buffer wfile so headers+body coalesce into one segment.
+        # Fully buffer wfile: a reply leaves in one send, when the stdlib
+        # flushes after the handler (outside the latency histogram).
         wbufsize = -1
+        #: ``(whole second, Date text)``; a thread swaps in a whole new
+        #: tuple, so readers never see a torn pair.
+        _date = (0, "")
 
         def setup(self) -> None:  # noqa: D102
             super().setup()
@@ -137,31 +167,149 @@ def _make_handler(state: ServerState, gate: AdmissionGate,
 
         # -- request plumbing --------------------------------------------------
 
+        def parse_request(self) -> bool:
+            """Parse the request line and header block (RFC 9112 §3, §5).
+
+            Headers land in a plain dict keyed by lower-cased name; the
+            first value wins, as ``HTTPMessage.get`` returns it.  Returns
+            False once a malformed head has been answered (an empty line
+            just closes the connection).
+            """
+            self.command = None
+            self.request_version = "HTTP/0.9"
+            self.close_connection = True
+            line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            self.requestline = line
+            if not line:
+                return False
+            words = line.split(" ")
+            if len(words) != 3 or not words[0] or not words[1]:
+                self.send_error(400, f"bad request line {line[:80]!r}")
+                return False
+            method, target, version = words
+            if len(version) != 8 or version[:7] != "HTTP/1." or version[7] not in "0123456789":
+                major = version[5:].partition(".")[0]
+                if (version[:5] == "HTTP/" and major.isascii() and major.isdigit()
+                        and major.lstrip("0") not in ("", "1")):
+                    self.send_error(505, "only HTTP/1.0 and HTTP/1.1 are supported")
+                else:
+                    self.send_error(400, f"bad HTTP version {version[:80]!r}")
+                return False
+            self.command, self.request_version = method, version
+            # As the stdlib does: '//host/x' must not read as a URI authority.
+            self.path = "/" + target.lstrip("/") if target[:2] == "//" else target
+            self.close_connection = version == "HTTP/1.0"
+            headers: dict[str, str] = {}
+            readline = self.rfile.readline
+            for _ in range(_MAX_HEADER_LINES):
+                raw = readline(_MAX_LINE + 1)
+                if len(raw) > _MAX_LINE:
+                    self.send_error(431, f"header line over {_MAX_LINE} bytes")
+                    return False
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                text = raw.decode("iso-8859-1")
+                name, colon, value = text.partition(":")
+                # No colon, no name, or whitespace in the name (which
+                # covers obs-fold continuation lines): RFC 9112 §5.1-5.2.
+                if not colon or not name or " " in name or "\t" in name:
+                    self.send_error(400, f"bad header line {text.rstrip()[:80]!r}")
+                    return False
+                key = name.lower()
+                value = value.strip(" \t\r\n")
+                if key not in headers:
+                    headers[key] = value
+                elif key == "content-length" and headers[key] != value:
+                    # Conflicting lengths become a list, which _read_body rejects.
+                    headers[key] += ", " + value
+            else:
+                self.send_error(431, f"more than {_MAX_HEADER_LINES - 1} header lines")
+                return False
+            self.headers = headers
+            connection = headers.get("connection", "").lower()
+            if connection == "close":
+                self.close_connection = True
+            elif connection == "keep-alive":
+                self.close_connection = False
+            if (headers.get("expect", "").lower() == "100-continue"
+                    and version != "HTTP/1.0"):
+                return self.handle_expect_100()
+            return True
+
+        def handle_expect_100(self) -> bool:
+            """Send ``100 Continue`` now, not behind the final reply."""
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
+
+        def send_error(self, code: int, message: str | None = None,
+                       explain: str | None = None) -> None:
+            """Answer a framing failure with a typed JSON error, then close.
+
+            ``parse_request`` calls this, and so does the stdlib for a
+            request line over 65536 bytes (414) and an unknown method (501).
+            """
+            code = int(code)
+            error = _FRAMING_ERRORS[code](message or self.responses[code][0])
+            self._respond(Response(status=code, body=error_body(error)), error.closes)
+
         def _read_body(self) -> bytes:
-            length = int(self.headers.get("Content-Length") or 0)
+            if "transfer-encoding" in self.headers:
+                raise Unimplemented(
+                    "Transfer-Encoding is not supported; send a Content-Length body"
+                )
+            text = self.headers.get("content-length", "0")
+            if not (text.isascii() and text.isdigit()):
+                raise MalformedRequest(
+                    f"Content-Length must be one decimal number, got {text[:80]!r}"
+                )
+            # No 19-digit length is within the limit, and int() refuses
+            # a string of more than 4300 digits.
+            length = int(text) if len(text) < 19 else config.max_body_bytes + 1
             if length > config.max_body_bytes:
                 raise PayloadTooLarge(
-                    f"body of {length} bytes exceeds the "
+                    f"body of {text} bytes exceeds the "
                     f"{config.max_body_bytes}-byte limit"
                 )
-            return self.rfile.read(length) if length else b""
+            if not length:
+                return b""
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:  # the client stalled mid-body
+                body = b""
+            if len(body) < length:
+                raise MalformedRequest(
+                    f"request body cut short of its Content-Length, {length}"
+                )
+            return body
 
-        def _respond(self, response: Response) -> None:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(response.body)))
+        def _respond(self, response: Response, close: bool = False) -> None:
+            """Write the whole reply at once: the same status line and
+            headers, in the same order, as send_response/send_header."""
+            now = int(time())
+            stamp = Handler._date
+            if stamp[0] != now:
+                stamp = Handler._date = (now, formatdate(now, usegmt=True))
+            status = response.status
+            head = (
+                f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {stamp[1]}\r\n"
+                f"Content-Type: {response.content_type}\r\n"
+                f"Content-Length: {len(response.body)}\r\n"
+            )
             for key, value in response.headers.items():
-                self.send_header(key, value)
-            if state.draining.is_set():
-                self.send_header("Connection", "close")
+                head += f"{key}: {value}\r\n"
+            if close or state.draining.is_set():
+                head += "Connection: close\r\n"
                 self.close_connection = True
-            self.end_headers()
-            self.wfile.write(response.body)
+            self.wfile.write((head + "\r\n").encode("latin-1") + response.body)
 
         def _handle(self, method: str) -> None:
             registry.set_busy(self.connection, True)
             t0 = perf_counter()
             path, _, query = self.path.partition("?")
+            close = False
             try:
                 if state.draining.is_set():
                     raise Draining("server is draining", retry_after=1)
@@ -179,6 +327,7 @@ def _make_handler(state: ServerState, gate: AdmissionGate,
                 response = Response(status=exc.status, body=error_body(exc))
                 if exc.retry_after is not None:
                     response.headers["Retry-After"] = str(exc.retry_after)
+                close = exc.closes
             except Exception as exc:  # noqa: BLE001 — typed 500, keep serving
                 payload = {"error": {"code": "internal",
                                      "message": f"{type(exc).__name__}: {exc}"}}
@@ -186,7 +335,7 @@ def _make_handler(state: ServerState, gate: AdmissionGate,
                     status=500, body=(json.dumps(payload) + "\n").encode("utf-8")
                 )
             try:
-                self._respond(response)
+                self._respond(response, close)
             except (BrokenPipeError, ConnectionResetError):
                 self.close_connection = True
             finally:
