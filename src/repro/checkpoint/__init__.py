@@ -28,7 +28,11 @@ day ``D`` delivers exactly the specs with ``t < day_start(D)``, and
 records are atomic per email (retries never span a cut).  Because the
 slice plan is a pure function of the config and the canonical merge is
 stable, a run chained across K segments — at any worker count — is
-byte-identical to one uninterrupted run.
+byte-identical to one uninterrupted run.  Segments run through the
+ordinary runners, re-exported here: :func:`run_segment`
+(:mod:`repro.stream.runner`) and :func:`run_segment_parallel`
+(:mod:`repro.parallel.runner`); an uninterrupted run is the segment
+``[0, n_days)`` from :func:`fresh_progress`.
 
 Branching (:func:`branch_checkpoint`) applies declared interventions
 (fix SPF fleet-wide, delist the proxies, retire squatted domains, ...)
@@ -44,9 +48,6 @@ from repro.checkpoint.interventions import (
     branch_checkpoint,
     intervention_catalog,
 )
-from repro.checkpoint.parallel import ParallelSegment, run_segment_parallel
-from repro.checkpoint.runner import SegmentRun, run_segment
-from repro.checkpoint.state import fresh_progress
 from repro.checkpoint.store import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -54,14 +55,14 @@ from repro.checkpoint.store import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.parallel.runner import run_segment_parallel
+from repro.stream.runner import fresh_progress, run_segment
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointError",
     "INTERVENTIONS",
-    "ParallelSegment",
-    "SegmentRun",
     "apply_intervention",
     "branch_checkpoint",
     "diff_payloads",

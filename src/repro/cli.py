@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from repro import SimulationConfig, __version__, run_simulation
 from repro.delivery.dataset import DeliveryDataset
@@ -392,104 +393,121 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    if args.until is not None or args.from_checkpoint or args.save_checkpoint:
-        return _cmd_simulate_segment(args)
-    from repro.analysis.degrees import degree_breakdown
-    from repro.analysis.report import pct
+@contextmanager
+def _run(args, config, slices_dir, ckpt=None, until=None):
+    """A run of ``config`` (or of checkpoint ``ckpt``) up to day ``until``
+    (``None``: the whole window), serially or across ``--workers``.
 
-    config = SimulationConfig(scale=args.scale, seed=args.seed)
-    workers = getattr(args, "workers", 1)
-    resume = getattr(args, "resume", False)
-    if workers > 1 or resume:
-        from repro.parallel import run_parallel_simulation
+    Only a plain run — no checkpoint, no cut — runs through
+    :func:`repro.parallel.run_parallel_simulation`: its parent builds no
+    world, and ``--resume`` keeps per-slice shards in ``slices_dir`` and
+    reuses the verified ones.  Every other run is a segment from the
+    checkpoint's progress, or from fresh progress."""
+    from repro.parallel.runner import run_parallel_simulation, run_segment_parallel
+    from repro.stream.runner import fresh_progress, run_segment
 
+    workers = args.workers
+    if ckpt is None and until is None and (workers > 1 or args.resume):
         with run_parallel_simulation(
             config, workers=workers,
-            shard_root=f"{args.out}.slices" if resume else None,
-            resume=resume,
+            shard_root=slices_dir if args.resume else None,
+            resume=args.resume,
         ) as run:
-            dataset = DeliveryDataset(list(run.iter_records()))
-        _status(f"parallel run: {run.workers} worker(s), "
-                f"{len(run.slices)} slice(s), {run.elapsed_s:.1f}s")
-        _status_resume(run, f"{args.out}.slices")
+            _status(f"parallel run: {run.workers} worker(s), "
+                    f"{len(run.slices)} slice(s), {run.elapsed_s:.1f}s")
+            if args.resume:
+                _status(f"resume: reused {len(run.resumed_slices)} slice(s), "
+                        f"re-ran {len(run.rerun_slices)}; slices kept in "
+                        f"{slices_dir}")
+            yield run
+        return
+    if ckpt is not None:
+        world, progress = ckpt.world, ckpt.progress
     else:
-        dataset = run_simulation(config).dataset
-    dataset.write_jsonl(args.out)
-    breakdown = degree_breakdown(dataset)
-    _status(f"simulated {len(dataset):,} emails "
-            f"(scale={args.scale}, seed={args.seed})")
-    _status(f"non/soft/hard: {pct(breakdown.non_fraction)} / "
-            f"{pct(breakdown.soft_fraction)} / {pct(breakdown.hard_fraction)}")
-    _status(f"wrote {args.out}")
-    return 0
+        from repro.obs import profile as obs_profile
+        from repro.world.model import build_world
+
+        with obs_profile.stage("world-build"):
+            world = build_world(config)
+        progress = fresh_progress(config)
+    until = world.clock.n_days if until is None else until
+    if workers <= 1:
+        yield run_segment(world, progress, until)
+        return
+    with run_segment_parallel(
+        world, progress, until, workers,
+        checkpoint_path=None if ckpt is None else ckpt.path,
+    ) as run:
+        _status(f"parallel segment: {run.workers} worker(s), "
+                f"{len(run.slices)} slice(s), {run.elapsed_s:.1f}s")
+        yield run
 
 
-def _cmd_simulate_segment(args) -> int:
-    """Checkpoint-mode simulate: run days ``[from, until)``, optionally
-    saving/restoring the complete simulation state (docs/CHECKPOINTS.md)."""
-    from repro.checkpoint import (
-        CheckpointError,
-        fresh_progress,
-        load_checkpoint,
-        run_segment,
-        run_segment_parallel,
-        save_checkpoint,
-    )
+def _cmd_simulate(args) -> int:
+    """Run days ``[from, until)`` of a fresh config or of a checkpoint
+    and stream the records into ``--out`` (gzip for ``.gz``);
+    ``--save-checkpoint`` then saves the state at the cut
+    (docs/CHECKPOINTS.md)."""
+    from collections import Counter
+    from pathlib import Path
 
-    workers = getattr(args, "workers", 1)
-    if getattr(args, "resume", False):
+    from repro.analysis.degrees import DegreeBreakdown
+    from repro.analysis.report import pct
+    from repro.core.taxonomy import BounceDegree
+    from repro.util.clock import SimClock
+
+    checkpointed = (args.until is not None or args.from_checkpoint
+                    or args.save_checkpoint)
+    if args.resume and checkpointed:
         print("simulate: --resume restarts slices within one run; "
               "checkpoints resume simulated time — use --from-checkpoint",
               file=sys.stderr)
         return 2
-    try:
-        if args.from_checkpoint:
-            ckpt = load_checkpoint(args.from_checkpoint)
-            world, progress, from_day = ckpt.world, ckpt.progress, ckpt.day
-            checkpoint_path = args.from_checkpoint
-            _status(f"restored {ckpt.name!r} at day {from_day} "
-                    f"(digest {ckpt.meta['digest'][:12]})")
-        else:
-            from repro.world.model import build_world
+    ckpt = None
+    if args.from_checkpoint:
+        from repro.checkpoint import CheckpointError, load_checkpoint
 
-            config = SimulationConfig(scale=args.scale, seed=args.seed)
-            world = build_world(config)
-            progress = fresh_progress(config)
-            from_day = 0
-            checkpoint_path = None
-    except CheckpointError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
-    n_days = world.clock.n_days
-    until = args.until if args.until is not None else n_days
+        try:
+            ckpt = load_checkpoint(args.from_checkpoint)
+        except CheckpointError as exc:
+            print(f"simulate: {exc}", file=sys.stderr)
+            return 2
+        config, from_day = ckpt.config, ckpt.day
+        _status(f"restored {ckpt.name!r} at day {from_day} "
+                f"(digest {ckpt.meta['digest'][:12]})")
+    else:
+        config, from_day = SimulationConfig(scale=args.scale, seed=args.seed), 0
+    n_days = SimClock(config.start, config.end).n_days
+    until = n_days if args.until is None else args.until
     if not from_day < until <= n_days:
         print(f"simulate: --until must be a day in ({from_day}, {n_days}]",
               file=sys.stderr)
         return 2
 
-    n = 0
-    if workers > 1:
-        with run_segment_parallel(
-            world, progress, until, workers, checkpoint_path=checkpoint_path
-        ) as segment:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for record in segment.iter_records():
-                    fh.write(record.to_json() + "\n")
-                    n += 1
-            progress = segment.progress
-        _status(f"parallel segment: {workers} worker(s), "
-                f"{segment.elapsed_s:.1f}s")
-    else:
-        segment = run_segment(world, progress, until)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for record in segment.records:
-                fh.write(record.to_json() + "\n")
-                n += 1
-        progress = segment.finish()
-    _status(f"segment days [{from_day}, {until}): {n:,} records -> {args.out}")
+    degrees: Counter = Counter()
+    with _run(args, config, f"{args.out}.slices", ckpt,
+              until if checkpointed else None) as run:
+        with DeliveryDataset._open(Path(args.out), "w") as fh:
+            for record in run:
+                fh.write(record.to_json())
+                fh.write("\n")
+                degrees[record.bounce_degree] += 1
+        progress = run.progress
+    breakdown = DegreeBreakdown(
+        n_emails=sum(degrees.values()),
+        n_non=degrees[BounceDegree.NON_BOUNCED],
+        n_soft=degrees[BounceDegree.SOFT_BOUNCED],
+        n_hard=degrees[BounceDegree.HARD_BOUNCED],
+    )
+    _status(f"simulated {breakdown.n_emails:,} emails, days [{from_day}, "
+            f"{until}) (scale={config.scale}, seed={config.seed})")
+    _status(f"non/soft/hard: {pct(breakdown.non_fraction)} / "
+            f"{pct(breakdown.soft_fraction)} / {pct(breakdown.hard_fraction)}")
+    _status(f"wrote {args.out}")
     if args.save_checkpoint:
-        save_checkpoint(args.save_checkpoint, world, until, progress)
+        from repro.checkpoint import save_checkpoint
+
+        save_checkpoint(args.save_checkpoint, run.world, until, progress)
         _status(f"checkpoint saved: {args.save_checkpoint} (day {until})")
     return 0
 
@@ -547,55 +565,22 @@ def _cmd_diff_runs(args) -> int:
     return 0
 
 
-def _status_resume(run, slices_dir: str) -> None:
-    """One status line about what a resumed run reused vs redid."""
-    if run.resumed_slices or run.rerun_slices:
-        _status(f"resume: reused {len(run.resumed_slices)} slice(s), "
-                f"re-ran {len(run.rerun_slices)}; slices kept in {slices_dir}")
-
-
 def _cmd_stream(args) -> int:
     from repro.stream.sink import ShardWriter
     from repro.util.clock import SimClock
 
     config = SimulationConfig(scale=args.scale, seed=args.seed)
-    workers = getattr(args, "workers", 1)
-    resume = getattr(args, "resume", False)
-    if workers > 1 or resume:
-        from repro.parallel import run_parallel_simulation
-
-        parallel_run = run_parallel_simulation(
-            config, workers=workers,
-            shard_root=f"{args.out_dir}.slices" if resume else None,
-            resume=resume,
-        )
-        records = parallel_run.iter_records()
-        clock = SimClock(config.start, config.end)
-        _status(f"parallel run: {parallel_run.workers} worker(s), "
-                f"{len(parallel_run.slices)} slice(s), "
-                f"{parallel_run.elapsed_s:.1f}s; merging into {args.out_dir}")
-        _status_resume(parallel_run, f"{args.out_dir}.slices")
-    else:
-        from repro.stream.runner import stream_simulation
-
-        parallel_run = None
-        run = stream_simulation(config)
-        records = run.records
-        clock = run.world.clock
-    try:
-        with ShardWriter(
-            args.out_dir, shard_size=args.shard_size, compress=args.gzip
-        ) as writer:
-            for record in records:
-                writer.write(record)
-                n = writer.n_written
-                if args.progress_every and n % args.progress_every == 0:
-                    _status(f"  {n:,} records "
-                            f"(sim day {clock.day_index(record.start_time)}"
-                            f"/{clock.n_days})")
-    finally:
-        if parallel_run is not None:
-            parallel_run.cleanup()
+    clock = SimClock(config.start, config.end)
+    with _run(args, config, f"{args.out_dir}.slices") as run, ShardWriter(
+        args.out_dir, shard_size=args.shard_size, compress=args.gzip
+    ) as writer:
+        for record in run:
+            writer.write(record)
+            n = writer.n_written
+            if args.progress_every and n % args.progress_every == 0:
+                _status(f"  {n:,} records "
+                        f"(sim day {clock.day_index(record.start_time)}"
+                        f"/{clock.n_days})")
     manifest = writer.manifest
     _status(f"streamed {manifest.n_records:,} records into "
             f"{len(manifest.shards)} shard(s) under {args.out_dir} "
@@ -1145,18 +1130,7 @@ def _cmd_scenario(args) -> int:
     _status(f"running pack {compiled.name!r} "
             f"(scale={compiled.config.scale}, seed={compiled.config.seed}, "
             f"workers={workers})")
-    if workers > 1:
-        from repro.parallel import run_parallel_simulation
-
-        with run_parallel_simulation(
-            compiled.config, workers=workers,
-            extra_workloads=list(compiled.workloads),
-        ) as run:
-            records = list(run.iter_records())
-        _status(f"parallel run: {run.workers} worker(s), "
-                f"{len(run.slices)} slice(s), {run.elapsed_s:.1f}s")
-    else:
-        records = list(compiled.run())
+    records = list(compiled.run(workers))
     out = args.out if args.out is not None else f"{compiled.name}.jsonl"
     if out != "-":
         with open(out, "w", encoding="utf-8") as fh:

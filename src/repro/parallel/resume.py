@@ -8,9 +8,10 @@ records the current run would produce?"  The answer is yes iff:
    leaves ``manifest.partial.json`` instead, and a hard-killed one
    leaves nothing (:mod:`repro.stream.sink`);
 2. its **fingerprint** matches — a hash of the full config, the slice
-   key (plus shipped specs for extra slices), and the shard options, so
-   a directory produced by a different config, seed, or shard layout is
-   never silently reused;
+   key (plus shipped specs for extra slices), the shard options and the
+   segment (cut day and starting record count), so a directory produced
+   by a different config, seed, shard layout or segment is never
+   silently reused;
 3. (optionally but by default) every shard payload **re-hashes** to its
    manifest checksum — catching on-disk corruption between runs.
 
@@ -33,7 +34,7 @@ from repro.world.config import SimulationConfig
 
 #: Bump when the fingerprint payload changes shape; old directories then
 #: verify as stale and are re-run rather than misread.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 
 def _jsonify(value):
@@ -55,18 +56,23 @@ def config_digest(config: SimulationConfig) -> str:
 
 
 def slice_fingerprint(
-    config: SimulationConfig, sim_slice: SimSlice, options: dict
+    config: SimulationConfig, sim_slice: SimSlice, options: dict, n_delivered: int
 ) -> str:
     """The identity a slice directory's manifest must carry to be
     reusable: config hash + slice key + the shard options that shape the
-    bytes on disk.  Telemetry options are deliberately excluded —
-    metrics on/off never changes the record stream."""
+    bytes on disk + the segment it holds (the cut and the slice's
+    starting ``n_delivered``), so a segment's directory never verifies as
+    a complete full-run slice.  Telemetry, analytics and the
+    acceleration switches are deliberately excluded — they never change
+    the record stream."""
     payload = {
         "version": FINGERPRINT_VERSION,
         "config": config_digest(config),
         "slice": sim_slice.key,
-        "shard_size": int(options.get("shard_size", 100_000)),
-        "compress": bool(options.get("compress", False)),
+        "shard_size": int(options["shard_size"]),
+        "compress": bool(options["compress"]),
+        "until_day": int(options["until_day"]),
+        "n_delivered": int(n_delivered),
     }
     if sim_slice.specs is not None:
         # Extra slices carry caller-materialised specs; a changed

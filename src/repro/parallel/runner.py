@@ -24,8 +24,15 @@ a worker that dies silently (signal, OOM) raises
 ``timeout`` terminates every worker and raises
 :class:`ParallelTimeoutError` naming the unfinished slices.  In every
 case all remaining workers are terminated first — no hung pools.  A
-worker whose echoed fastpath/columnar switches differ from the parent's
-raises :class:`WorkerModeError`.
+worker whose echoed mode switches (fastpath, columnar, telemetry) differ
+from the parent's raises :class:`WorkerModeError`.
+
+A run is a segment of simulated time: :func:`run_parallel_simulation`
+runs the segment ``[0, n_days)`` from fresh progress, and
+:func:`run_segment_parallel` runs a checkpoint's slices from their
+recorded progress up to a day boundary.  Both go through the same
+workers (:func:`repro.parallel.worker.run_worker`) and the same
+supervision (:func:`_run_workers`).
 
 ``workers <= 1`` falls back to plain in-process streaming (no processes,
 no shard round-trip) and yields the same records.
@@ -57,12 +64,19 @@ from repro.parallel.errors import (
 from repro.parallel.partition import SimSlice, assign_slices, plan_slices
 from repro.parallel.worker import (
     check_modes,
-    current_modes,
     error_path,
     result_path,
     run_worker,
     slice_dir,
+    worker_options,
 )
+from repro.stream.runner import (
+    fresh_progress,
+    materialize_extra_workloads,
+    stream_simulation,
+    validate_progress,
+)
+from repro.util.clock import SimClock
 from repro.world.config import SimulationConfig
 from repro.world.model import WorldModel, build_world
 
@@ -74,16 +88,19 @@ _POLL_S = 0.05
 
 @dataclass
 class ParallelSimulation:
-    """A finished parallel run: the slice plan, the per-slice shard
-    directories, and the merged telemetry.
+    """A finished parallel run or segment: the slices it merges, their
+    shard directories, the per-slice progress and the merged telemetry.
 
     Iterate :meth:`iter_records` (or the object itself) for the canonical
-    record stream.  Usable as a context manager; exiting cleans up the
-    shard root if it was runtime-created (``owns_shards``).
+    record stream.  Usable as a context manager; exiting (or
+    :meth:`close`) removes the shard root if it was runtime-created
+    (``owns_shards``).
     """
 
     config: SimulationConfig
     workers: int
+    #: The slices whose shard directories make up the output, in
+    #: slice-plan order (a segment leaves out slices already done).
     slices: list[SimSlice]
     shard_root: Path | None
     #: Per-worker result payloads (worker-index order).
@@ -99,6 +116,10 @@ class ParallelSimulation:
     #: per-worker partials folded in worker-index order, exactly like
     #: telemetry snapshots.
     analytics: object | None = None
+    #: Per-slice progress after the run, in slice-plan order (see
+    #: :func:`repro.stream.runner.fresh_progress`); empty for the
+    #: in-process ``workers <= 1`` fallback.
+    progress: dict[str, dict] = field(default_factory=dict)
     _world: WorldModel | None = field(default=None, repr=False)
     _inline_records: Iterator[DeliveryRecord] | None = field(default=None, repr=False)
 
@@ -127,6 +148,8 @@ class ParallelSimulation:
             return records
         if self.shard_root is None:
             raise RuntimeError("records of an in-process run can be read once")
+        if not self.slices:
+            return iter(())
         from repro.stream.sink import MultiShardReader
 
         reader = MultiShardReader(
@@ -138,7 +161,7 @@ class ParallelSimulation:
     def __iter__(self) -> Iterator[DeliveryRecord]:
         return self.iter_records()
 
-    def cleanup(self) -> None:
+    def close(self) -> None:
         if self.owns_shards and self.shard_root is not None:
             shutil.rmtree(self.shard_root, ignore_errors=True)
             self.owns_shards = False
@@ -147,7 +170,7 @@ class ParallelSimulation:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.cleanup()
+        self.close()
         return False
 
 
@@ -169,7 +192,7 @@ def run_parallel_simulation(
     ``shard_root`` keeps the per-slice shard directories for later reads
     (e.g. the ``stream`` CLI); when omitted, a temporary directory is
     created and owned by the returned object (use it as a context
-    manager, or call :meth:`ParallelSimulation.cleanup`).
+    manager, or call :meth:`ParallelSimulation.close`).
 
     ``extra_workloads`` are materialised in the parent (their callables
     are often closures and need not be picklable) and shipped to workers
@@ -202,8 +225,6 @@ def run_parallel_simulation(
             "runtime-owned directory cannot outlive the run being resumed"
         )
     if workers <= 1 and not resume and not analytics:
-        from repro.stream.runner import stream_simulation
-
         run = stream_simulation(config, extra_workloads=extra_workloads)
         return ParallelSimulation(
             config=config,
@@ -218,7 +239,6 @@ def run_parallel_simulation(
     parent_world: WorldModel | None = None
     extra_specs: list[list] = []
     if extra_workloads:
-        from repro.stream.runner import materialize_extra_workloads
         from repro.util.rng import RandomSource
 
         parent_world = build_world(config)
@@ -231,26 +251,21 @@ def run_parallel_simulation(
         s.with_specs(extra_specs[s.extra_index]) if s.kind == "extra" else s
         for s in slices
     ]
+    progress = fresh_progress(config, n_extra=len(extra_specs))
 
     owns = shard_root is None
     root = Path(
         tempfile.mkdtemp(prefix="repro-parallel-") if owns else shard_root
     )
     root.mkdir(parents=True, exist_ok=True)
-
-    from repro.obs import metrics as obs_metrics
-
-    options = {
-        "shard_size": shard_size,
-        "compress": compress,
-        "metrics": obs_metrics.enabled(),
-        "analytics": analytics,
-        **current_modes(),
-    }
+    options = worker_options(
+        SimClock(config.start, config.end).n_days, shard_size, compress, analytics
+    )
 
     to_run = shipped
     skipped: list[tuple[SimSlice, int]] = []  # (slice, on-disk record count)
     if resume:
+        from repro.obs import metrics as obs_metrics
         from repro.parallel.resume import (
             clean_stale_run_files,
             load_completed_slice,
@@ -262,7 +277,7 @@ def run_parallel_simulation(
             directory = slice_dir(root, s.index)
             manifest = load_completed_slice(
                 directory,
-                slice_fingerprint(config, s, options),
+                slice_fingerprint(config, s, options, progress[s.key]["n_delivered"]),
                 verify_payload=verify_resume,
             )
             if manifest is not None:
@@ -281,44 +296,17 @@ def run_parallel_simulation(
             "Slices re-executed on resume (missing, partial, or corrupt)",
         ).inc(len(to_run))
 
-    buckets = assign_slices(to_run, max(workers, 1)) if to_run else []
-    procs = []
-    worker_results: list[dict] = []
-    if buckets:
-        ctx = multiprocessing.get_context("spawn")
-        procs = [
-            ctx.Process(
-                target=run_worker,
-                args=(i, config, bucket, str(root), options),
-                name=f"repro-parallel-{i}",
-                daemon=True,
-            )
-            for i, bucket in enumerate(buckets)
-        ]
-        try:
-            for proc in procs:
-                proc.start()
-            _join_workers(procs, buckets, root, timeout)
-            worker_results = [
-                _load_result(root, i, bucket) for i, bucket in enumerate(buckets)
-            ]
-            check_modes(options, worker_results, buckets)
-        except BaseException:
-            _terminate(procs)
-            if owns:
-                shutil.rmtree(root, ignore_errors=True)
-            raise
-
-    if options["metrics"]:
-        from repro.obs.export import merge_snapshot
-
-        for result in worker_results:
-            if result.get("snapshot"):
-                merge_snapshot(result["snapshot"])
+    worker_results = _run_workers(
+        config, to_run, progress, root, owns, options, workers, timeout
+    )
+    n_workers = max(len(worker_results), 1)
+    for s, n in skipped:
+        progress[s.key] = {"status": "done", "n_delivered": n}
+    for result in worker_results:
+        progress.update(result["progress"])
     analytics_suite = None
     if analytics:
         from repro.analytics.suite import TableSuite
-        from repro.util.clock import SimClock
 
         analytics_suite = TableSuite(SimClock(config.start, config.end))
         for result in worker_results:
@@ -347,7 +335,7 @@ def run_parallel_simulation(
 
     return ParallelSimulation(
         config=config,
-        workers=max(len(buckets), 1),
+        workers=n_workers,
         slices=slices,
         shard_root=root,
         worker_results=worker_results,
@@ -355,7 +343,60 @@ def run_parallel_simulation(
         resumed_slices=[s.key for s, _ in skipped],
         rerun_slices=[s.key for s in to_run] if resume else [],
         analytics=analytics_suite,
+        progress=progress,
         _world=parent_world,
+        elapsed_s=time.perf_counter() - t0,
+    )
+
+
+def run_segment_parallel(
+    world: WorldModel,
+    progress: dict[str, dict],
+    until_day: int,
+    workers: int,
+    *,
+    checkpoint_path: str | Path | None = None,
+    shard_root: str | Path | None = None,
+    shard_size: int = 100_000,
+    compress: bool = False,
+    timeout: float | None = None,
+) -> ParallelSimulation:
+    """Run one segment — every slice from ``progress`` up to (exclusive)
+    ``until_day`` — across ``workers`` processes; byte-identical to
+    :func:`repro.stream.runner.run_segment` at every worker count.
+
+    ``checkpoint_path`` tells workers to restore the world from that
+    directory instead of rebuilding it from the config — required for
+    branched checkpoints, whose worlds carry interventions the config
+    knows nothing about.  Slices already done get no worker and no
+    shard directory; :attr:`ParallelSimulation.progress` holds every
+    slice's entry after the segment.
+    """
+    t0 = time.perf_counter()
+    config = world.config
+    slices = plan_slices(config)
+    validate_progress(progress, slices, until_day, world.clock.n_days)
+    owns = shard_root is None
+    root = Path(tempfile.mkdtemp(prefix="repro-ckpt-") if owns else shard_root)
+    root.mkdir(parents=True, exist_ok=True)
+    active = [s for s in slices if progress[s.key]["status"] != "done"]
+    options = worker_options(until_day, shard_size, compress)
+    source = config if checkpoint_path is None else str(checkpoint_path)
+    worker_results = _run_workers(
+        source, active, progress, root, owns, options, workers, timeout
+    )
+    after = {s.key: progress[s.key] for s in slices}
+    for result in worker_results:
+        after.update(result["progress"])
+    return ParallelSimulation(
+        config=config,
+        workers=max(len(worker_results), 1),
+        slices=active,
+        shard_root=root,
+        worker_results=worker_results,
+        owns_shards=owns,
+        progress=after,
+        _world=world,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -373,6 +414,57 @@ def iter_parallel_simulation(
     )
     with run:
         yield from run.iter_records()
+
+
+def _run_workers(
+    source: SimulationConfig | str,
+    slices: list[SimSlice],
+    progress: dict[str, dict],
+    root: Path,
+    owns: bool,
+    options: dict,
+    workers: int,
+    timeout: float | None,
+) -> list[dict]:
+    """Run ``slices`` from their ``progress`` entries across ``workers``
+    spawned processes; return the workers' results in worker-index order.
+
+    The workers start inside the failure guard: any failure — a failed
+    ``start()``, a worker error, crash or timeout, a missing result file
+    or a :class:`WorkerModeError` — terminates every worker and removes
+    ``root`` if the runtime owns it before re-raising.  Telemetry
+    snapshots merge into this process's registry in worker-index order.
+    """
+    buckets = assign_slices(slices, max(workers, 1)) if slices else []
+    ctx = multiprocessing.get_context("spawn")
+    procs: list = []
+    try:
+        for i, bucket in enumerate(buckets):
+            proc = ctx.Process(
+                target=run_worker,
+                args=(i, source, [(s, progress[s.key]) for s in bucket],
+                      str(root), options),
+                name=f"repro-parallel-{i}",
+                daemon=True,
+            )
+            procs.append(proc)
+            proc.start()
+        _join_workers(procs, buckets, root, timeout)
+        results = [
+            _load_result(root, i, bucket) for i, bucket in enumerate(buckets)
+        ]
+        check_modes(options, results, buckets)
+    except BaseException:
+        _terminate(procs)
+        if owns:
+            shutil.rmtree(root, ignore_errors=True)
+        raise
+    if options["metrics"]:
+        from repro.obs.export import merge_snapshot
+
+        for result in results:
+            merge_snapshot(result["snapshot"])
+    return results
 
 
 # -- worker supervision --------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Worker-process side of the parallel runtime.
 
-A worker receives ``(worker_index, config, slices, shard_root, options)``
-— all picklable by construction — builds its own copy of the world,
-and runs each assigned slice through the ordinary serial machinery
+A worker receives ``(worker_index, source, bucket, shard_root, options)``
+— all picklable by construction.  ``source`` is the config, or the
+directory of a checkpoint to restore (a branched world cannot be rebuilt
+from its config); ``bucket`` pairs each assigned slice with its progress
+entry; ``options`` comes from :func:`worker_options`.  The worker builds
+or restores its own copy of the world and runs each slice up to the cut
+through the ordinary serial machinery
 (:func:`repro.stream.runner.run_slice`), writing every slice's records
 into its own checksummed shard directory ``shard_root/slice-NNNN/``.
 One directory per *slice* (not per worker) is what lets the parent merge
@@ -10,12 +14,12 @@ the streams back in slice-plan order, independent of how slices were
 dealt to workers.
 
 Results travel over the filesystem, not a queue: a worker that finishes
-writes ``worker-NN.json`` (slice keys, record counts, telemetry
-snapshots) and exits 0 at once (:func:`exit_worker`); a worker that
-fails writes ``worker-NN.error.txt`` (slice key + flattened traceback)
-and exits 1.  The parent never blocks on a pipe, so a crashed or killed
-worker cannot hang the run — its exit code and the absence of a result
-file are the signal.
+writes ``worker-NN.json`` (slice keys, record counts, per-slice progress,
+telemetry snapshots, echoed modes) and exits 0 at once
+(:func:`exit_worker`); a worker that fails writes ``worker-NN.error.txt``
+(slice key + flattened traceback) and exits 1.  The parent never blocks
+on a pipe, so a crashed or killed worker cannot hang the run — its exit
+code and the absence of a result file are the signal.
 
 The module also hosts the classification pool worker (the fitted EBRC is
 loaded once per process from a JSON payload file and cached in a module
@@ -33,13 +37,8 @@ import traceback
 from pathlib import Path
 
 from repro import faults
+from repro.parallel.partition import SimSlice
 from repro.world.config import SimulationConfig
-
-#: Environment hook for the failure-path tests: ``"<slice-key-substring>:<mode>"``
-#: where mode is ``raise`` (worker reports a SliceExecutionError), ``crash``
-#: (process dies without reporting), or ``hang`` (worker sleeps past any
-#: deadline).  Ignored — and harmless — outside the test suite.
-FAIL_HOOK_ENV = "REPRO_PARALLEL_TEST_FAIL"
 
 
 def result_path(shard_root: Path, worker_index: int) -> Path:
@@ -55,26 +54,49 @@ def slice_dir(shard_root: Path, slice_index: int) -> Path:
 
 
 def current_modes() -> dict:
-    """This process's acceleration switches.  The parent adds them to a
-    worker's options, so a ``--no-cache`` / ``--no-columnar``
-    differential run exercises the reference code in every process; the
-    worker echoes its own in its result file.  They never enter a shard
-    fingerprint: the record bytes are identical either way."""
+    """This process's mode switches: the acceleration switches and
+    telemetry.  :func:`worker_options` adds them to a worker's options,
+    so a ``--no-cache`` / ``--no-columnar`` differential run exercises the
+    reference code in every process and ``--metrics-out`` collects from
+    every process; the worker echoes its own in its result file.  They
+    never enter a shard fingerprint: the record bytes are identical
+    either way."""
     from repro.core import fastpath
+    from repro.obs import metrics as obs_metrics
 
     return {
         "fastpath": fastpath.enabled(),
         "columnar": fastpath.columnar_enabled(),
+        "metrics": obs_metrics.enabled(),
+    }
+
+
+def worker_options(
+    until_day: int, shard_size: int, compress: bool, analytics: bool = False
+) -> dict:
+    """Everything a worker needs besides its slices: the cut, the shard
+    options, whether to fold analytics, and this process's modes."""
+    return {
+        "until_day": until_day,
+        "shard_size": shard_size,
+        "compress": compress,
+        "analytics": analytics,
+        **current_modes(),
     }
 
 
 def apply_modes(options: dict) -> None:
-    """Worker side: switch off what the parent's options switch off."""
+    """Worker side: switch on telemetry and switch off the accelerations
+    as the parent's options say.  Runs before the world is built, because
+    instrumented objects read the telemetry flag at construction."""
     from repro.core import fastpath
+    from repro.obs import metrics as obs_metrics
 
-    if not options.get("fastpath", True):
+    if options["metrics"]:
+        obs_metrics.enable()
+    if not options["fastpath"]:
         fastpath.disable()
-    if not options.get("columnar", True):
+    if not options["columnar"]:
         fastpath.disable_columnar()
 
 
@@ -84,7 +106,7 @@ def check_modes(options: dict, results: list[dict], buckets: list) -> None:
     from repro.parallel.errors import WorkerModeError
 
     for i, (result, bucket) in enumerate(zip(results, buckets)):
-        for mode in ("fastpath", "columnar"):
+        for mode in ("fastpath", "columnar", "metrics"):
             if result.get(mode) != options[mode]:
                 keys = ", ".join(s.key for s in bucket)
                 raise WorkerModeError(
@@ -108,81 +130,75 @@ def exit_worker() -> None:
     os._exit(0)
 
 
-def _apply_fail_hook(slice_key: str) -> None:
-    hook = os.environ.get(FAIL_HOOK_ENV)
-    if not hook or ":" not in hook:
-        return
-    needle, mode = hook.rsplit(":", 1)
-    if needle not in slice_key:
-        return
-    if mode == "raise":
-        raise RuntimeError(f"injected failure for slice {slice_key}")
-    if mode == "crash":
-        os._exit(17)
-    if mode == "hang":
-        time.sleep(3600)
-
-
 def run_worker(
     worker_index: int,
-    config: SimulationConfig,
-    slices: list,
+    source: SimulationConfig | str,
+    bucket: list[tuple[SimSlice, dict]],
     shard_root: str,
     options: dict,
 ) -> None:
-    """Process entry point: run ``slices`` and write results under
-    ``shard_root``.  Exits 0 through :func:`exit_worker` on success, 1
-    after writing an error file.
+    """Process entry point: run each ``(slice, progress entry)`` of
+    ``bucket`` up to the cut and write results under ``shard_root``.
+    Exits 0 through :func:`exit_worker` on success, 1 after writing an
+    error file.
 
-    ``options`` keys: ``compress`` (bool), ``shard_size`` (int),
-    ``metrics`` (bool — enable :mod:`repro.obs` in this process and
-    snapshot it into the result file), ``analytics`` (bool — fold every
-    record into a :class:`repro.analytics.TableSuite` while writing and
-    snapshot the partial into the result file, exactly like telemetry),
-    ``fastpath`` and ``columnar`` (bool — the parent's acceleration
-    switches; the result file echoes the effective values).
+    ``source`` is the config, or a checkpoint directory to restore the
+    world from (the parent verified its deep digest once, so workers
+    skip it).  ``options`` is a :func:`worker_options` dict: the cut
+    (``until_day``), ``shard_size``, ``compress``, ``analytics`` (fold
+    every record into a :class:`repro.analytics.TableSuite` and snapshot
+    the partial into the result file, like telemetry) and the parent's
+    :func:`current_modes`, which the result file echoes.
     """
     root = Path(shard_root)
     current: str | None = None
     try:
         from repro.obs import export as obs_export
-        from repro.obs import metrics as obs_metrics
         from repro.obs import profile as obs_profile
         from repro.parallel.resume import slice_fingerprint
         from repro.stream.runner import run_slice
         from repro.stream.sink import ShardWriter, atomic_write_text
         from repro.util.rng import RandomSource
-        from repro.world.model import build_world
 
-        if options.get("metrics"):
-            obs_metrics.enable()
         apply_modes(options)
         fault_plan = faults.active_plan()
         t0 = time.perf_counter()
         with obs_profile.stage("world-build"):
-            world = build_world(config)
+            if isinstance(source, SimulationConfig):
+                from repro.world.model import build_world
+
+                world = build_world(source)
+            else:
+                from repro.checkpoint.store import load_checkpoint
+
+                world = load_checkpoint(source, verify=False).world
         # The world lives until the worker exits: keep the collector's
         # full passes during delivery from rescanning it.
         gc.freeze()
+        config = world.config
         rng = RandomSource(config.seed, name="sim")
         suite = None
-        if options.get("analytics"):
+        if options["analytics"]:
             from repro.analytics.suite import TableSuite
 
             suite = TableSuite(world.clock)
+        progress: dict[str, dict] = {}
         counts: dict[str, int] = {}
-        for sim_slice in slices:
+        for sim_slice, entry in bucket:
             current = sim_slice.key
-            _apply_fail_hook(sim_slice.key)
             if fault_plan is not None:
                 fault_plan.on_slice_start(sim_slice.key)
             with ShardWriter(
                 slice_dir(root, sim_slice.index),
-                shard_size=options.get("shard_size", 100_000),
-                compress=options.get("compress", False),
-                fingerprint=slice_fingerprint(config, sim_slice, options),
+                shard_size=options["shard_size"],
+                compress=options["compress"],
+                fingerprint=slice_fingerprint(
+                    config, sim_slice, options, entry["n_delivered"]
+                ),
             ) as writer:
-                for record in run_slice(world, rng, sim_slice):
+                for record in run_slice(
+                    world, rng, sim_slice, entry, options["until_day"], progress
+                ):
                     writer.write(record)
                     if suite is not None:
                         suite.observe(record)
@@ -190,11 +206,12 @@ def run_worker(
         current = None
         result = {
             "worker": worker_index,
-            "slices": [s.key for s in slices],
+            "slices": [s.key for s, _ in bucket],
             "n_records": counts,
+            "progress": progress,
             "elapsed_s": time.perf_counter() - t0,
             **current_modes(),
-            "snapshot": obs_export.build_snapshot() if options.get("metrics") else None,
+            "snapshot": obs_export.build_snapshot() if options["metrics"] else None,
             "analytics": suite.snapshot() if suite is not None else None,
         }
         # Atomic: the parent treats the result file's existence as "this

@@ -70,16 +70,15 @@ class CompiledScenario:
         """Deliver the scenario; returns an iterable of DeliveryRecords.
 
         ``workers=1`` streams in-process; more workers delegate to the
-        parallel runner.  Output is byte-identical either way.
+        parallel runner, whose shards are removed once the records are
+        drained.  Output is byte-identical either way.
         """
         if workers > 1:
-            from repro.parallel.runner import run_parallel_simulation
+            from repro.parallel.runner import iter_parallel_simulation
 
-            run = run_parallel_simulation(
-                self.config, workers=workers,
-                extra_workloads=list(self.workloads),
+            return iter_parallel_simulation(
+                self.config, workers, extra_workloads=list(self.workloads)
             )
-            return run.iter_records()
         from repro.stream.runner import stream_simulation
 
         return stream_simulation(self.config, extra_workloads=list(self.workloads))

@@ -25,6 +25,13 @@ same for the in-process runner here and for
   per-slice record streams in slice-plan order therefore fixes the order
   of simultaneous records once, for every execution strategy.
 
+Every run is a *segment*: days ``[from, until)`` of every slice, starting
+from per-slice *progress* (:func:`fresh_progress`).  An uninterrupted run
+is the segment ``[0, n_days)`` from fresh progress; a checkpointed run
+(:mod:`repro.checkpoint`) cuts at a day boundary and resumes from the
+progress the cut left, and the worker processes of
+:mod:`repro.parallel` run the same :func:`run_slice`.
+
 Peak memory is O(one day of specs per traffic slice + attacker campaigns
 + the world), never O(total records).
 """
@@ -32,8 +39,9 @@ Peak memory is O(one day of specs per traffic slice + attacker campaigns
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
@@ -134,24 +142,122 @@ def iter_slice_specs(
     yield from extra_specs[sim_slice.extra_index]
 
 
+def fresh_progress(config: SimulationConfig, n_extra: int = 0) -> dict[str, dict]:
+    """Progress of a run that has not delivered anything.
+
+    Progress is a dict keyed by slice key (the slice plan is a pure
+    function of the config).  Each entry is one of:
+
+    ``{"status": "fresh", "n_delivered": 0}``
+        The slice has not started; a fresh engine picks it up from the top.
+
+    ``{"status": "partial", "n_delivered": N, "engine": ..., ["resume_day": D]}``
+        The slice delivered its first ``N`` specs; ``engine`` is the
+        :meth:`repro.delivery.engine.DeliveryEngine.state_snapshot` payload
+        (RNG cursors, greylist tuples, learned STARTTLS).  Traffic slices
+        also record ``resume_day``.
+
+    ``{"status": "done", "n_delivered": N}``
+        The slice is exhausted; later segments skip it.
+    """
+    return {
+        s.key: {"status": "fresh", "n_delivered": 0}
+        for s in plan_slices(config, n_extra)
+    }
+
+
+def validate_progress(
+    progress: dict, slices: list[SimSlice], until_day: int, n_days: int
+) -> None:
+    """Raise :class:`ValueError` unless a segment can run: the cut must lie
+    inside the measurement window, and the progress keys must match the
+    slice plan exactly — a mismatch means the progress belongs to a
+    different config (or extra-workload set)."""
+    if until_day > n_days:
+        raise ValueError(
+            f"until_day {until_day} is past the measurement window "
+            f"({n_days} days)"
+        )
+    expected = {s.key for s in slices}
+    got = set(progress)
+    if expected != got:
+        missing = sorted(expected - got)
+        surplus = sorted(got - expected)
+        raise ValueError(
+            f"progress does not match the slice plan "
+            f"(missing: {missing[:3]}, unknown: {surplus[:3]})"
+        )
+
+
 def run_slice(
     world: WorldModel,
     rng: RandomSource,
     sim_slice: SimSlice,
+    entry: dict,
+    until_day: int,
+    out: dict[str, dict],
     extra_specs: list[list[EmailSpec]] | None = None,
 ) -> Iterator[DeliveryRecord]:
-    """Deliver one slice with a fresh, slice-seeded engine.
+    """Deliver one slice from its progress ``entry`` up to day
+    ``until_day`` (exclusive).  Once the stream is drained, ``out[key]``
+    holds the slice's progress entry after this segment.  A fresh entry
+    cut at ``n_days`` delivers the whole slice.
 
     The engine stream is ``child(f"engine/{slice.key}")``, so delivery
     randomness (proxy picks, retry gaps, NDR renderings) is a pure
     function of the run seed and the slice — independent of every other
-    slice and of the process running it.
+    slice and of the process running it.  Engine construction consumes
+    no draws, so restoring a partial entry's engine snapshot continues
+    every draw sequence where the previous segment stopped.
     """
-    specs = obs_profile.profiled_iter(
-        "workload-gen", iter_slice_specs(world, rng, sim_slice, extra_specs)
-    )
-    engine = DeliveryEngine(world, rng.child(f"engine/{sim_slice.key}"))
-    return engine.deliver_all(specs)
+    key = sim_slice.key
+    n = entry["n_delivered"]
+    if entry["status"] == "done":
+        out[key] = entry
+        return
+    if sim_slice.kind == "traffic":
+        # Send times never cross a day boundary, so traffic resumes by
+        # generating days [resume_day, stop) with nothing regenerated.
+        start = entry.get("resume_day", sim_slice.day_start)
+        stop = min(sim_slice.day_end, until_day)
+        traffic = TrafficGenerator(world, rng.child("traffic"))
+        specs = obs_profile.profiled_iter(
+            "workload-gen", traffic.iter_day_range(start, stop)
+        )
+        done = stop >= sim_slice.day_end
+        resume = {"resume_day": stop}
+    else:
+        # Campaign and extra slices regenerate their (cheap, deterministic)
+        # time-sorted spec list, skip what earlier segments delivered and
+        # stop at the first spec past the cut.
+        every = list(obs_profile.profiled_iter(
+            "workload-gen", iter_slice_specs(world, rng, sim_slice, extra_specs)
+        ))
+        start, stop = n, len(every)
+        if until_day < world.clock.n_days:
+            cut = world.clock.day_start(until_day)
+            stop = max(start, bisect_left(every, cut, key=attrgetter("t")))
+        specs = islice(every, start, stop)
+        done = stop >= len(every)
+        resume = {}
+    if start >= stop:
+        out[key] = {"status": "done", "n_delivered": n} if done else entry
+        return
+    engine = DeliveryEngine(world, rng.child(f"engine/{key}"))
+    if entry["status"] == "partial":
+        engine.restore_state(entry["engine"])
+    for record in engine.deliver_all(specs):
+        n += 1
+        yield record
+    if done:
+        out[key] = {"status": "done", "n_delivered": n}
+    else:
+        out[key] = {
+            "status": "partial",
+            "n_delivered": n,
+            **resume,
+            "engine": engine.state_snapshot(),
+        }
 
 
 def merge_record_streams(
@@ -172,11 +278,14 @@ def merge_record_streams(
 
 @dataclass
 class StreamingSimulation:
-    """A running streaming simulation: the built world plus a lazy record
-    iterator.  Iterate it (once) to drive delivery."""
+    """A running simulation segment: the world plus a lazy record
+    iterator.  Iterate it (once) to drive delivery; :meth:`finish`
+    returns the per-slice progress the segment reached."""
 
     world: WorldModel
     records: Iterator[DeliveryRecord]
+    _out: dict[str, dict] = field(default_factory=dict, repr=False)
+    _plan_keys: list[str] = field(default_factory=list, repr=False)
 
     @property
     def config(self) -> SimulationConfig:
@@ -185,18 +294,38 @@ class StreamingSimulation:
     def __iter__(self) -> Iterator[DeliveryRecord]:
         return self.records
 
+    def finish(self) -> dict[str, dict]:
+        """Drain any records left (each slice writes its progress entry
+        when its stream ends) and return the progress in slice-plan
+        order."""
+        for _ in self.records:
+            pass
+        return {key: self._out[key] for key in self._plan_keys}
 
-def stream_simulation(
-    config: SimulationConfig | None = None,
+    @property
+    def progress(self) -> dict[str, dict]:
+        return self.finish()
+
+
+def run_segment(
+    world: WorldModel,
+    progress: dict[str, dict],
+    until_day: int,
     extra_workloads: list[WorkloadFn] | None = None,
 ) -> StreamingSimulation:
-    """Build the world and return a lazy, time-ordered record stream."""
-    config = config or SimulationConfig()
-    with obs_profile.stage("world-build"):
-        world = build_world(config)
+    """Run every slice from ``progress`` up to (exclusive) ``until_day``.
+
+    ``run_segment(world, p, clock.n_days)`` finishes the run; a cut past
+    the measurement window raises :class:`ValueError`.  A stable merge of
+    per-slice prefixes is a prefix of the full merge, so chained segments
+    concatenate to the bytes of one uninterrupted run.
+    """
+    config = world.config
     rng = RandomSource(config.seed, name="sim")
     extra_specs = materialize_extra_workloads(world, rng, extra_workloads)
     slices = plan_slices(config, n_extra=len(extra_specs))
+    validate_progress(progress, slices, until_day, world.clock.n_days)
+    out: dict[str, dict] = {}
     # Traffic slices are contiguous, disjoint day ranges at the head of
     # the plan, so their record streams concatenate into one sorted
     # stream: chaining them keeps the k-way heap at (1 + campaigns +
@@ -207,16 +336,30 @@ def stream_simulation(
     streams: list[Iterator[DeliveryRecord]] = []
     traffic: list[Iterator[DeliveryRecord]] = []
     for s in slices:
-        stream = run_slice(world, rng, s, extra_specs)
-        if s.kind == "traffic":
-            traffic.append(stream)
-        else:
-            streams.append(stream)
+        stream = run_slice(world, rng, s, progress[s.key], until_day, out, extra_specs)
+        (traffic if s.kind == "traffic" else streams).append(stream)
     if traffic:
         head = chain.from_iterable(traffic) if len(traffic) > 1 else traffic[0]
         streams.insert(0, head)
-    records = merge_record_streams(streams)
-    return StreamingSimulation(world=world, records=records)
+    return StreamingSimulation(
+        world=world,
+        records=merge_record_streams(streams),
+        _out=out,
+        _plan_keys=[s.key for s in slices],
+    )
+
+
+def stream_simulation(
+    config: SimulationConfig | None = None,
+    extra_workloads: list[WorkloadFn] | None = None,
+) -> StreamingSimulation:
+    """Build the world and return a lazy, time-ordered record stream: the
+    segment ``[0, n_days)`` from fresh progress."""
+    config = config or SimulationConfig()
+    with obs_profile.stage("world-build"):
+        world = build_world(config)
+    progress = fresh_progress(config, n_extra=len(extra_workloads or ()))
+    return run_segment(world, progress, world.clock.n_days, extra_workloads)
 
 
 def iter_simulation(

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.stream.sink import iter_delivery_log
 
 SCALE, SEED = "0.03", "3"
 
@@ -50,6 +51,23 @@ class TestSegmentedSimulate:
         assert main(["simulate", "--from-checkpoint", str(ckpt), "--no-cache",
                      "--workers", "2", "--out", str(out), "--quiet"]) == 0
         assert out.read_bytes() == seg2.read_bytes()
+
+    def test_until_gz_output(self, chain, tmp_path):
+        _, _, seg1, _, _ = chain
+        out = tmp_path / "seg1.jsonl.gz"
+        assert main(["simulate", "--scale", SCALE, "--seed", SEED,
+                     "--until", "200", "--out", str(out), "--quiet"]) == 0
+        lines = [record.to_json() for record in iter_delivery_log(out)]
+        assert lines == seg1.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_from_checkpoint_gz_output(self, chain, tmp_path, workers):
+        _, _, _, seg2, ckpt = chain
+        out = tmp_path / "seg2.jsonl.gz"
+        assert main(["simulate", "--from-checkpoint", str(ckpt),
+                     "--workers", workers, "--out", str(out), "--quiet"]) == 0
+        lines = [record.to_json() for record in iter_delivery_log(out)]
+        assert lines == seg2.read_text(encoding="utf-8").splitlines()
 
     def test_checkpoint_layout(self, chain):
         *_, ckpt = chain

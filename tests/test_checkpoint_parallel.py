@@ -111,14 +111,32 @@ class TestParallelSegmentLifecycle:
             run_segment_parallel(world, fresh_progress(config), N_DAYS + 1, 2)
 
     def test_worker_failure_surfaces(self, monkeypatch):
+        from repro import faults
         from repro.parallel.errors import SliceExecutionError
-        from repro.parallel.worker import FAIL_HOOK_ENV
 
         config = _config()
         world = build_world(config)
-        monkeypatch.setenv(FAIL_HOOK_ENV, "campaign/0:raise")
+        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
+            kind="raise", site="slice-start", match="campaign/0")]).to_json())
         with pytest.raises(SliceExecutionError, match="campaign/0"):
             run_segment_parallel(world, fresh_progress(config), CUT, 2)
+
+    def test_worker_crash_surfaces(self, monkeypatch, tmp_path):
+        # Segment workers honour an installed fault plan: a crash at the
+        # start of a slice fails the segment and leaves no owned root.
+        import tempfile
+
+        from repro import faults
+        from repro.parallel.errors import WorkerCrashError
+
+        config = _config()
+        world = build_world(config)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
+            kind="crash", site="slice-start", match="campaign/0")]).to_json())
+        with pytest.raises(WorkerCrashError, match="campaign/0"):
+            run_segment_parallel(world, fresh_progress(config), CUT, 2)
+        assert list(tmp_path.glob("repro-ckpt-*")) == []
 
     def test_failed_start_stops_started_workers(self, monkeypatch, tmp_path):
         # Starting worker 1 fails while worker 0 runs: the failure guard
@@ -126,12 +144,13 @@ class TestParallelSegmentLifecycle:
         import multiprocessing.context
         import tempfile
 
-        from repro.parallel.worker import FAIL_HOOK_ENV
+        from repro import faults
 
         config = _config()
         world = build_world(config)
         # Every slice hangs, so a worker nobody stops stays alive.
-        monkeypatch.setenv(FAIL_HOOK_ENV, "/:hang")
+        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
+            kind="hang", site="slice-start", match="/")]).to_json())
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         real_start = multiprocessing.context.SpawnProcess.start
         started = []

@@ -4,9 +4,9 @@ The load-bearing property is byte-level determinism: for a fixed seed
 and config, the merged record stream of a parallel run is identical to
 the serial streaming runner's at every worker count — and parallel EBRC
 classification returns exactly the serial results.  The failure-path
-tests drive real child processes through the worker's env-var fault
-hook (raise / crash / hang) and assert the parent surfaces the dying
-slice by name without hanging.
+tests drive real child processes through an installed ``repro.faults``
+plan (raise / crash / hang at slice start) and assert the parent
+surfaces the dying slice by name without hanging.
 """
 
 import json
@@ -28,7 +28,7 @@ from repro.parallel import (
     plan_slices,
     run_parallel_simulation,
 )
-from repro.parallel.worker import FAIL_HOOK_ENV
+from repro import faults
 from repro.stream.runner import iter_simulation
 from repro.world.config import SimulationConfig
 
@@ -142,10 +142,13 @@ class TestDeterminism:
 @pytest.fixture()
 def fail_hook():
     def arm(value):
-        os.environ[FAIL_HOOK_ENV] = value
+        needle, mode = value.rsplit(":", 1)
+        faults.install_plan(faults.FaultPlan(
+            [faults.FaultSpec(kind=mode, site="slice-start", match=needle)]
+        ))
 
     yield arm
-    os.environ.pop(FAIL_HOOK_ENV, None)
+    faults.clear_plan()
 
 
 class TestFailures:
@@ -257,6 +260,40 @@ class TestWorkerTelemetry:
             obs_metrics.reset()
         assert serial == parallel
 
+    def test_segment_worker_metrics_merge_equals_serial(self):
+        """Segment workers collect telemetry too, and the parent merges
+        it: a 2-worker segment reports the serial segment's families."""
+        from repro.checkpoint import fresh_progress, run_segment, run_segment_parallel
+        from repro.obs import metrics as obs_metrics
+        from repro.world.model import build_world
+
+        def families():
+            snap = obs_metrics.get_registry().snapshot()
+            return {
+                f["name"]: f for f in snap
+                if f["name"].startswith("repro_delivery")
+            }
+
+        cut = 200
+        obs_metrics.enable()
+        try:
+            obs_metrics.reset()
+            for _ in run_segment(build_world(SMALL), fresh_progress(SMALL), cut):
+                pass
+            serial = families()
+            obs_metrics.reset()
+            with run_segment_parallel(
+                build_world(SMALL), fresh_progress(SMALL), cut, 2
+            ) as run:
+                for _ in run.iter_records():
+                    pass
+            parallel = families()
+        finally:
+            obs_metrics.disable()
+            obs_metrics.reset()
+        assert serial
+        assert serial == parallel
+
 
 # -- parallel classification --------------------------------------------------------
 
@@ -336,8 +373,13 @@ class TestPickleSafety:
 
     def test_worker_args_round_trip(self):
         """The exact tuple Process(target=run_worker) pickles."""
+        from repro.parallel.worker import worker_options
+        from repro.stream.runner import fresh_progress
+
         buckets = assign_slices(plan_slices(SMALL), 2)
-        args = (0, SMALL, buckets[0], "/tmp/x", {"metrics": False})
+        progress = fresh_progress(SMALL)
+        bucket = [(s, progress[s.key]) for s in buckets[0]]
+        args = (0, SMALL, bucket, "/tmp/x", worker_options(100, 100_000, False))
         assert pickle.loads(pickle.dumps(args))[1] == SMALL
 
     def test_delivery_record_round_trips(self, dataset):

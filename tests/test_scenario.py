@@ -310,6 +310,17 @@ class TestPackParity:
             parallel = [r.to_json() for r in run.iter_records()]
         assert parallel == pack_lines[name]
 
+    def test_run_with_workers_removes_its_shards(
+        self, pack_lines, monkeypatch, tmp_path
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        compiled = get_pack("spf-epidemic", scale=PACK_SCALE)
+        lines = [r.to_json() for r in compiled.run(workers=2)]
+        assert lines == pack_lines["spf-epidemic"]
+        assert list(tmp_path.glob("repro-parallel-*")) == []
+
     @pytest.mark.parametrize("name", ["spf-epidemic", "mx-failover"])
     def test_no_cache_byte_identical(self, pack_lines, name):
         fastpath.disable()
