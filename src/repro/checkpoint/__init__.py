@@ -41,38 +41,36 @@ into a counterfactual lab; :mod:`repro.checkpoint.diff` renders
 per-bounce-type/per-table deltas between two runs.
 """
 
-from repro.checkpoint.diff import diff_payloads, diff_runs, render_diff, table_payload
-from repro.checkpoint.interventions import (
-    INTERVENTIONS,
-    apply_intervention,
-    branch_checkpoint,
-    intervention_catalog,
-)
-from repro.checkpoint.store import (
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.parallel.runner import run_segment_parallel
-from repro.stream.runner import fresh_progress, run_segment
+import importlib
 
-__all__ = [
-    "CHECKPOINT_VERSION",
-    "Checkpoint",
-    "CheckpointError",
-    "INTERVENTIONS",
-    "apply_intervention",
-    "branch_checkpoint",
-    "diff_payloads",
-    "diff_runs",
-    "fresh_progress",
-    "intervention_catalog",
-    "load_checkpoint",
-    "render_diff",
-    "run_segment",
-    "run_segment_parallel",
-    "save_checkpoint",
-    "table_payload",
-]
+#: Every export resolves on first use (PEP 562), so a worker restoring a
+#: checkpoint through :mod:`repro.checkpoint.store` never imports the
+#: analyses behind ``diff`` and ``interventions``.
+_LAZY = {
+    "CHECKPOINT_VERSION": "repro.checkpoint.store",
+    "Checkpoint": "repro.checkpoint.store",
+    "CheckpointError": "repro.checkpoint.store",
+    "load_checkpoint": "repro.checkpoint.store",
+    "save_checkpoint": "repro.checkpoint.store",
+    "INTERVENTIONS": "repro.checkpoint.interventions",
+    "apply_intervention": "repro.checkpoint.interventions",
+    "branch_checkpoint": "repro.checkpoint.interventions",
+    "intervention_catalog": "repro.checkpoint.interventions",
+    "diff_payloads": "repro.checkpoint.diff",
+    "diff_runs": "repro.checkpoint.diff",
+    "render_diff": "repro.checkpoint.diff",
+    "table_payload": "repro.checkpoint.diff",
+    "run_segment_parallel": "repro.parallel.runner",
+    "fresh_progress": "repro.stream.runner",
+    "run_segment": "repro.stream.runner",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value

@@ -106,13 +106,7 @@ class DeliveryRecord:
 
     @property
     def bounce_degree(self) -> BounceDegree:
-        if not self.attempts:
-            raise ValueError("record has no attempts")
-        if self.attempts[0].succeeded:
-            return BounceDegree.NON_BOUNCED
-        if self.delivered:
-            return BounceDegree.SOFT_BOUNCED
-        return BounceDegree.HARD_BOUNCED
+        return _degree([a.result for a in self.attempts])
 
     @property
     def bounced(self) -> bool:
@@ -228,33 +222,137 @@ class DeliveryRecord:
     def from_json_dict(cls, data: dict) -> "DeliveryRecord":
         """Inverse of :meth:`to_json_dict`.  The per-attempt arrays must
         all have the same length; a mismatch raises ``ValueError``."""
-        results = data["delivery_result"]
-        n = len(results)
-        attempts = [
-            AttemptRecord(t, from_ip, to_ip, result, latency, truth_type,
-                          bool(ambiguous))
-            for t, from_ip, to_ip, result, latency, truth_type, ambiguous in zip(
-                data.get("attempt_times") or [data["start_time"]] * n,
-                data["from_ip"],
-                data["to_ip"],
-                results,
-                data["delivery_latency"],
-                data.get("truth_types") or [None] * n,
-                data.get("truth_ambiguous") or [False] * n,
-                strict=True,
-            )
-        ]
-        return cls(
-            sender=data["from"],
-            receiver=data["to"],
-            start_time=data["start_time"],
-            end_time=data["end_time"],
-            email_flag=data["email_flag"],
-            attempts=attempts,
-            truth_tags=tuple(data.get("truth_tags", ())),
-            truth_spamminess=float(data.get("truth_spamminess", 0.0)),
-        )
+        return cls(*_decoded_fields(data))
 
     @classmethod
     def from_json(cls, line: str) -> "DeliveryRecord":
         return cls.from_json_dict(json.loads(line))
+
+
+def _degree(results: list) -> BounceDegree:
+    """The bounce degree of an email whose attempts got ``results``."""
+    if not results:
+        raise ValueError("record has no attempts")
+    if is_success(results[0]):
+        return BounceDegree.NON_BOUNCED
+    if any(map(is_success, results[1:])):
+        return BounceDegree.SOFT_BOUNCED
+    return BounceDegree.HARD_BOUNCED
+
+
+def _decoded_fields(data: dict) -> tuple:
+    """The field values, in field order, of the record ``data`` holds:
+    the one decoder behind :meth:`DeliveryRecord.from_json_dict` and
+    line-backed records."""
+    results = data["delivery_result"]
+    n = len(results)
+    attempts = [
+        AttemptRecord(t, from_ip, to_ip, result, latency, truth_type,
+                      bool(ambiguous))
+        for t, from_ip, to_ip, result, latency, truth_type, ambiguous in zip(
+            data.get("attempt_times") or [data["start_time"]] * n,
+            data["from_ip"],
+            data["to_ip"],
+            results,
+            data["delivery_latency"],
+            data.get("truth_types") or [None] * n,
+            data.get("truth_ambiguous") or [False] * n,
+            strict=True,
+        )
+    ]
+    return (
+        data["from"],
+        data["to"],
+        data["start_time"],
+        data["end_time"],
+        data["email_flag"],
+        attempts,
+        tuple(data.get("truth_tags", ())),
+        float(data.get("truth_spamminess", 0.0)),
+    )
+
+
+# -- line-backed records ---------------------------------------------------------
+
+# Keys of the line layout that to_json writes.  Inside a string value a
+# quote is always escaped, so ',"' can only open a key.
+_START_KEY = ',"start_time":'
+_RESULTS_KEY = ',"delivery_result":'
+_LATENCY_KEY = ',"delivery_latency":'
+
+_set_class = object.__dict__["__class__"].__set__
+_set_start = DeliveryRecord.start_time.__set__
+_line_of = DeliveryRecord.email_flag.__get__
+_set_line = DeliveryRecord.email_flag.__set__
+
+
+def line_record(line: str) -> DeliveryRecord:
+    """A :class:`DeliveryRecord` backed by ``line``, a line that
+    :meth:`DeliveryRecord.to_json` wrote.
+
+    Only ``start_time`` is read now.  Until a caller reads another field,
+    ``to_json()`` returns ``line`` and ``bounce_degree`` parses just the
+    ``delivery_result`` array; the first read or assignment of another
+    field decodes the line through the decoder ``from_json`` uses.  A
+    line with no readable ``start_time`` raises ``ValueError``.
+    """
+    try:
+        at = line.index(_START_KEY) + len(_START_KEY)
+        text = line[at:line.index(",", at)]
+        # float() gives back the float that float.__repr__ spelled; the
+        # spellings json.dumps writes for other values (ints, NaN,
+        # Infinity) are read as json.loads reads them.
+        start = float(text) if "." in text or "e" in text else json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"no readable start_time ({exc})") from None
+    record = object.__new__(_LineRecord)
+    _set_start(record, start)
+    _set_line(record, line)
+    return record
+
+
+class _LineRecord(DeliveryRecord):
+    """A record still held as its line (see :func:`line_record`).
+
+    The ``start_time`` slot holds the start time and the ``email_flag``
+    slot holds the line; the other slots are empty.  Reading or assigning
+    any field but ``start_time`` decodes the line into the slots and turns
+    the object into a plain :class:`DeliveryRecord`, in place: this class
+    adds no slots, so the two share one layout.
+    """
+
+    __slots__ = ()
+
+    # dataclass __eq__ and __repr__ and dataclasses.replace() go by
+    # __class__, so they treat an undecoded record as the plain one.
+    __class__ = property(lambda self: DeliveryRecord)
+
+    @property
+    def email_flag(self) -> str:
+        return self._decode().email_flag
+
+    def __getattr__(self, name: str):
+        # Python gets here when plain lookup fails: an empty slot (any
+        # field but start_time) or a name no record has.
+        return getattr(self._decode(), name)
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self._decode(), name, value)
+
+    def __reduce__(self):
+        return line_record, (_line_of(self),)
+
+    def to_json(self) -> str:
+        return _line_of(self)
+
+    @property
+    def bounce_degree(self) -> BounceDegree:
+        line = _line_of(self)
+        at = line.index(_RESULTS_KEY) + len(_RESULTS_KEY)
+        return _degree(json.loads(line[at:line.index(_LATENCY_KEY, at)]))
+
+    def _decode(self) -> DeliveryRecord:
+        fields = _decoded_fields(json.loads(_line_of(self)))
+        _set_class(self, DeliveryRecord)
+        DeliveryRecord.__init__(self, *fields)
+        return self

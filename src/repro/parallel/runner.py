@@ -14,6 +14,8 @@ The lifecycle:
    with ``order="time"``) — the same stable-merge discipline the serial
    runner uses in process, so the record stream is byte-identical to
    :func:`repro.stream.runner.iter_simulation` at every worker count.
+   The merge reads each line's start time and checks each shard's
+   checksum; records decode only when a caller reads their fields.
 5. Per-worker telemetry snapshots are folded into the parent's registry
    in worker-index order (:meth:`repro.obs.metrics.MetricsRegistry.merge`).
 
@@ -139,10 +141,12 @@ class ParallelSimulation:
             sum(result["n_records"].values()) for result in self.worker_results
         )
 
-    def iter_records(self, verify: bool = False) -> Iterator[DeliveryRecord]:
+    def iter_records(self, verify: bool = True) -> Iterator[DeliveryRecord]:
         """The canonical time-ordered record stream (identical to the
-        serial runner's).  ``verify=True`` re-hashes every shard payload
-        against its manifest while reading."""
+        serial runner's).  Records from shards are line-backed
+        (:class:`repro.stream.sink.MultiShardReader`); ``verify`` (on by
+        default) re-hashes every shard payload against its manifest while
+        reading."""
         if self._inline_records is not None:
             records, self._inline_records = self._inline_records, None
             return records

@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from repro import faults
-from repro.delivery.records import DeliveryRecord
+from repro.delivery.records import DeliveryRecord, line_record
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 
@@ -415,9 +415,13 @@ class ShardReader:
             )
 
     def iter_shard(self, info: ShardInfo, verify: bool = False) -> Iterator[DeliveryRecord]:
+        return self._records(info, verify, DeliveryRecord.from_json)
+
+    def _records(self, info: ShardInfo, verify: bool, decode) -> Iterator[DeliveryRecord]:
+        """``decode(line)`` of every line of one shard."""
         for n, line in enumerate(self.iter_lines(info, verify=verify), 1):
             try:
-                yield DeliveryRecord.from_json(line)
+                yield decode(line)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ShardDecodeError(
                     f"{self.directory / info.name}: record {n}: undecodable "
@@ -435,12 +439,16 @@ class ShardReader:
     ) -> Iterator[DeliveryRecord]:
         """All records in order; ``t_min``/``t_max`` skip whole shards whose
         manifest time range falls outside the filter, then filter records."""
+        return self._select(DeliveryRecord.from_json, verify, t_min, t_max)
+
+    def _select(self, decode, verify, t_min, t_max) -> Iterator[DeliveryRecord]:
+        """``decode(line)`` of every line of every shard, time-filtered."""
         for info in self.manifest.shards:
             if t_min is not None and info.t_max < t_min:
                 continue
             if t_max is not None and info.t_min > t_max:
                 continue
-            for record in self.iter_shard(info, verify=verify):
+            for record in self._records(info, verify, decode):
                 if t_min is not None and record.start_time < t_min:
                     continue
                 if t_max is not None and record.start_time > t_max:
@@ -466,9 +474,15 @@ class MultiShardReader:
     given directory order.  ``order="time"`` k-way merges the directories
     by record start time; the merge is stable across directories (ties
     resolve by directory position), which is exactly the discipline the
-    parallel runtime's canonical merge relies on.  Integrity checking
-    (``verify=True``) re-hashes every shard payload against its manifest,
-    same as :class:`ShardReader`.
+    parallel runtime's canonical merge relies on.
+
+    Records are line-backed (:func:`repro.delivery.records.line_record`):
+    the merge reads only each line's start time, and a caller that only
+    writes records back out (``to_json``, ``start_time``,
+    ``bounce_degree``) decodes nothing.  Since no line is parsed whole,
+    :meth:`iter_records` re-hashes every shard payload against its
+    manifest by default (``verify=True``), as :meth:`ShardReader.verify`
+    does.
     """
 
     def __init__(
@@ -503,12 +517,12 @@ class MultiShardReader:
 
     def iter_records(
         self,
-        verify: bool = False,
+        verify: bool = True,
         t_min: float | None = None,
         t_max: float | None = None,
     ) -> Iterator[DeliveryRecord]:
         streams = (
-            reader.iter_records(verify=verify, t_min=t_min, t_max=t_max)
+            reader._select(line_record, verify, t_min, t_max)
             for reader in self.readers
         )
         if self.order == "time":

@@ -13,10 +13,12 @@ otherwise the fault would simply fire again.
 """
 
 import json
+import re
 
 import pytest
 
 from repro import faults
+from repro.delivery.records import DeliveryRecord
 from repro.faults import CRASH_EXIT_CODE, FaultPlan, FaultSpec
 from repro.parallel import (
     ParallelTimeoutError,
@@ -29,6 +31,7 @@ from repro.stream.runner import iter_simulation
 from repro.stream.sink import (
     MANIFEST_NAME,
     PARTIAL_MANIFEST_NAME,
+    ShardDecodeError,
     ShardIntegrityError,
 )
 from repro.world.config import SimulationConfig
@@ -145,6 +148,28 @@ class TestSilentCorruption:
         resumed = _resume(root, 2)
         assert len(resumed.rerun_slices) == 1
         assert _lines(resumed.iter_records(verify=True)) == serial_lines
+
+    def test_default_merge_catches_a_flip_that_stays_valid_json(self, tmp_path):
+        run = run_parallel_simulation(SMALL, workers=2, shard_root=tmp_path)
+        shard = tmp_path / "slice-0002" / "shard-00000.jsonl"
+        data = shard.read_bytes()
+        shard.write_bytes(data.replace(b"@", b"#", 1))
+        assert DeliveryRecord.from_json(shard.read_text().splitlines()[0])
+        with pytest.raises(ShardIntegrityError, match="checksum mismatch"):
+            for _ in run.iter_records():
+                pass
+
+    def test_line_without_start_time_names_file_and_record(self, tmp_path):
+        run = run_parallel_simulation(SMALL, workers=2, shard_root=tmp_path)
+        shard = tmp_path / "slice-0002" / "shard-00000.jsonl"
+        lines = shard.read_text().splitlines(keepends=True)
+        lines[2] = re.sub(r',"start_time":[^,]*', "", lines[2], count=1)
+        shard.write_text("".join(lines))
+        with pytest.raises(
+            ShardDecodeError, match=r"slice-0002/shard-00000\.jsonl: record 3: "
+        ):
+            for _ in run.iter_records():
+                pass
 
     def test_unverified_resume_trusts_the_manifest(self, tmp_path):
         root = tmp_path / "slices"

@@ -3,10 +3,11 @@
 A spawned worker imports the modules its entry point needs and, because
 ``spawn`` re-imports the parent's main module, the CLI too under
 ``repro simulate --workers N``.  Neither may drag in the classifier and
-monitoring stack or numpy: ``repro.core`` and ``repro.stream`` resolve
-those exports on first use, the CLI imports its analyses inside the
-commands that run them, the columnar engine is plain Python, and the
-analyses load the EBRC only when a caller builds one.
+monitoring stack or numpy: ``repro.core``, ``repro.stream`` and
+``repro.checkpoint`` resolve those exports on first use, the CLI
+imports its analyses inside the commands that run them, the columnar
+engine is plain Python, and the analyses load the EBRC only when a
+caller builds one.
 """
 
 import ast
@@ -110,7 +111,18 @@ def test_simulation_runs_without_numpy(tmp_path):
     )
 
 
-@pytest.mark.parametrize("package", ["repro.core", "repro.stream"])
+def test_checkpoint_store_leaves_the_analyses_unloaded():
+    """A worker restoring a checkpoint imports ``repro.checkpoint.store``
+    and so the package, whose exports resolve on first use."""
+    loaded = _run_fresh(
+        "import sys\nimport repro.checkpoint.store\n"
+        "print(' '.join(m for m in sys.modules if m == 'repro.core.drain'"
+        " or m.startswith('repro.analysis')))"
+    ).split()
+    assert loaded == []
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.stream", "repro.checkpoint"])
 def test_every_public_name_resolves(package):
     module = importlib.import_module(package)
     namespace: dict = {}

@@ -136,6 +136,33 @@ class TestDeterminism:
             assert _lines(run.iter_records()) == serial
 
 
+class TestLineMerge:
+    def test_rewriting_records_decodes_nothing(self, monkeypatch):
+        """The merge hands out line-backed records: a consumer that reads
+        only what the CLI reads (``to_json``, ``start_time``,
+        ``bounce_degree``) never runs the field decoder."""
+        from repro.delivery import records
+
+        decode = records._decoded_fields
+        calls = []
+
+        def counting(data):
+            calls.append(1)
+            return decode(data)
+
+        monkeypatch.setattr(records, "_decoded_fields", counting)
+        with run_parallel_simulation(SMALL, workers=2) as run:
+            lines = []
+            for record in run.iter_records():
+                lines.append(record.to_json())
+                assert record.start_time > 0
+                record.bounce_degree
+            assert calls == []
+            record.sender  # the counter sees a real decode
+            assert calls == [1]
+        assert lines == [r.to_json() for r in iter_simulation(SMALL)]
+
+
 # -- failure surfacing --------------------------------------------------------------
 
 
@@ -383,6 +410,10 @@ class TestPickleSafety:
         assert pickle.loads(pickle.dumps(args))[1] == SMALL
 
     def test_delivery_record_round_trips(self, dataset):
+        from repro.delivery.records import line_record
+
         record = dataset.records[0]
-        restored = pickle.loads(pickle.dumps(record))
-        assert restored.to_json_dict() == record.to_json_dict()
+        for sent in (record, line_record(record.to_json())):
+            restored = pickle.loads(pickle.dumps(sent))
+            assert restored.to_json_dict() == record.to_json_dict()
+            assert restored.to_json() == record.to_json()

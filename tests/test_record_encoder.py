@@ -6,14 +6,20 @@ byte for byte, for every record, inside the schema or not.  Values
 outside the schema (non-finite floats, int times, bool latencies,
 non-bool ``ambiguous``, text fields that are not str) take the
 ``json.dumps`` path, so they are generated here too.
+
+A line-backed record (``line_record``) must behave as the record its line
+decodes to, except in speed.
 """
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.delivery.records import AttemptRecord, DeliveryRecord
+from repro.delivery.records import AttemptRecord, DeliveryRecord, line_record
 
 
 def _oracle(record: DeliveryRecord) -> str:
@@ -165,3 +171,116 @@ class TestEncoderOracle:
     def test_simulated_records(self, dataset):
         for record in dataset:
             assert record.to_json() == _oracle(record)
+
+
+_FIELDS = [f.name for f in dataclasses.fields(DeliveryRecord)]
+
+_zero_attempt_records = _schema_records.map(
+    lambda record: dataclasses.replace(record, attempts=[])
+)
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type of what it raises."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc)
+
+
+def _copies(line):
+    """Pickled, copied and deep-copied line-backed records of ``line``."""
+    return [
+        pickle.loads(pickle.dumps(line_record(line))),
+        copy.copy(line_record(line)),
+        copy.deepcopy(line_record(line)),
+    ]
+
+
+class TestLineBackedRecord:
+    @given(st.one_of(_schema_records, _zero_attempt_records))
+    @settings(max_examples=300, deadline=None)
+    def test_behaves_as_the_record(self, record):
+        line = record.to_json()
+        backed = line_record(line)
+        assert backed.start_time == record.start_time
+        assert backed.to_json() == line
+        assert _outcome(lambda: backed.bounce_degree) == _outcome(
+            lambda: record.bounce_degree
+        )
+        for name in _FIELDS:
+            assert getattr(backed, name) == getattr(record, name)
+        assert backed.to_json() == line
+        assert backed == record and record == backed
+
+        untouched = line_record(line)
+        assert record == untouched and untouched == record
+        assert line_record(line) == line_record(line)
+        for copied in _copies(line):
+            assert copied == record
+            assert copied.to_json() == line
+        assert dataclasses.replace(
+            line_record(line), email_flag="x"
+        ) == dataclasses.replace(record, email_flag="x")
+
+    @given(st.one_of(_schema_records, _zero_attempt_records),
+           st.sampled_from(["email_flag", "start_time", "sender"]))
+    @settings(max_examples=150, deadline=None)
+    def test_assignment_before_a_read_shows_in_the_line(self, record, name):
+        value = 1.5 if name == "start_time" else "changed"
+        backed = line_record(record.to_json())
+        setattr(backed, name, value)
+        setattr(record, name, value)
+        assert backed.to_json() == record.to_json()
+        assert backed == record
+
+    @given(_schema_records.filter(lambda record: record.attempts))
+    @settings(max_examples=150, deadline=None)
+    def test_nested_mutation_after_a_read_shows_in_the_line(self, record):
+        backed = line_record(record.to_json())
+        backed.attempts[0].result = "250 changed"
+        record.attempts[0].result = "250 changed"
+        assert backed.to_json() == record.to_json()
+        assert backed.bounce_degree == record.bounce_degree
+
+    @given(_near_schema_records())
+    @settings(max_examples=400, deadline=None)
+    def test_compares_as_an_eager_decode_would(self, record):
+        """Outside the schema a line may hold NaN, which equals nothing,
+        or values the decoder normalises (``ambiguous`` 1 becomes True).
+        So the line is what the decoded record writes back, and a second
+        eager decode says what ``==`` should answer."""
+        line = DeliveryRecord.from_json(record.to_json()).to_json()
+        eager, oracle = DeliveryRecord.from_json(line), DeliveryRecord.from_json(line)
+        assert eager.to_json() == line
+        backed = line_record(line)
+        assert (backed.start_time == eager.start_time) == (
+            oracle.start_time == eager.start_time
+        )
+        assert backed.to_json() == line
+        assert _outcome(lambda: backed.bounce_degree) == _outcome(
+            lambda: eager.bounce_degree
+        )
+        for name in _FIELDS:
+            assert (getattr(backed, name) == getattr(eager, name)) == (
+                getattr(oracle, name) == getattr(eager, name)
+            )
+        assert backed.to_json() == line
+        same = oracle == eager
+        assert (backed == eager) == same and (eager == backed) == same
+        untouched = line_record(line)
+        assert (eager == untouched) == same and (untouched == eager) == same
+        for copied in _copies(line):
+            assert (copied == eager) == same
+            assert copied.to_json() == line
+
+    def test_a_line_without_start_time_is_refused(self):
+        line = _one_attempt().to_json().replace('"start_time"', '"start"')
+        with pytest.raises(ValueError, match="start_time"):
+            line_record(line)
+
+    def test_simulated_records(self, dataset):
+        for record in dataset.records[:2000]:
+            backed = line_record(record.to_json())
+            assert backed.bounce_degree == record.bounce_degree
+            assert backed == record

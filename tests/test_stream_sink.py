@@ -285,6 +285,26 @@ class TestMultiShardReader:
             MultiShardReader(dirs).verify()
         with pytest.raises(ShardIntegrityError):
             list(MultiShardReader(dirs, order="time").iter_records(verify=True))
+        for order in ("concat", "time"):  # verified by default
+            with pytest.raises(ShardIntegrityError, match="checksum mismatch"):
+                list(MultiShardReader(dirs, order=order).iter_records())
+
+    @pytest.mark.parametrize("order", ["concat", "time"])
+    def test_records_are_line_backed(self, three_dirs, monkeypatch, order):
+        from repro.delivery import records as records_module
+        from repro.stream.sink import MultiShardReader
+
+        def refuse(data):
+            raise AssertionError("a line was decoded")
+
+        dirs, parts = three_dirs
+        monkeypatch.setattr(records_module, "_decoded_fields", refuse)
+        got = list(MultiShardReader(dirs, order=order).iter_records())
+        assert sorted(r.to_json() for r in got) == sorted(
+            r.to_json() for part in parts for r in part
+        )
+        with pytest.raises(AssertionError, match="decoded"):
+            got[0].sender
 
     def test_rejects_bad_order_and_empty_dirs(self, three_dirs):
         from repro.stream.sink import MultiShardReader
