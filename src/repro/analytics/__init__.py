@@ -33,8 +33,8 @@ from repro.analytics.accumulators import (
     TopK,
     restore,
 )
-from repro.analytics.io import RecordDecodeError, iter_ndjson_records
 from repro.analytics.suite import SUITE_SNAPSHOT_VERSION, TableSuite
+from repro.delivery.dataset import RecordDecodeError, iter_ndjson_records
 
 __all__ = [
     "DistinctSet",

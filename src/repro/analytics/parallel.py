@@ -3,18 +3,18 @@
 ``suite_from_shards`` is the engine behind `repro report --shards`: it
 streams every shard of every directory through a :class:`TableSuite`
 without materializing the corpus.  With ``workers > 1`` the shard files
-are dealt round-robin to worker processes; each worker folds its share
-into a private suite, snapshots it to disk, and the parent merges the
-partials in worker-index order — the same shape as a
-:mod:`repro.parallel` run merging telemetry snapshots.  Merge is
-commutative and associative, so the result is identical for any worker
-count.
+are dealt round-robin to worker processes under the parallel runtime's
+supervisor (:func:`repro.parallel.runner.run_workers`); each worker folds
+its share into a private suite and writes the suite's snapshot as its
+result file, and the parent merges the partials in worker-index order —
+the same shape as a parallel simulation merging telemetry snapshots.
+Merge is commutative and associative, so the result is identical for any
+worker count.  A worker that fails or dies fails the reduction at once
+with the supervisor's typed errors, naming its shard files.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing as mp
 import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,14 +46,26 @@ def _observe_units(
         suite.observe_many(reader.iter_shard(info))
 
 
+def _label(units: list[tuple[str, str]]) -> str:
+    return "shards: " + ", ".join(str(Path(d) / name) for d, name in units)
+
+
 def _report_worker(
+    worker_index: int,
     units: list[tuple[str, str]],
     clock_ts: tuple[float, float],
-    out_path: str,
+    root: str,
 ) -> None:
-    suite = TableSuite(clock_from_ts(*clock_ts))
-    _observe_units(suite, units)
-    Path(out_path).write_text(json.dumps(suite.snapshot()), encoding="utf-8")
+    """Process entry point: fold ``units`` into a suite and write its
+    snapshot as this worker's result file."""
+    from repro.parallel.worker import fail_worker, finish_worker
+
+    try:
+        suite = TableSuite(clock_from_ts(*clock_ts))
+        _observe_units(suite, units)
+        finish_worker(root, worker_index, suite.snapshot())
+    except BaseException:
+        fail_worker(root, worker_index, _label(units))
 
 
 def suite_from_shards(
@@ -64,39 +76,25 @@ def suite_from_shards(
     """Stream every shard in ``directories`` into one merged TableSuite."""
     clock = clock if clock is not None else SimClock()
     units = shard_units(directories)
+    suite = TableSuite(clock)
     if workers <= 1 or len(units) <= 1:
-        suite = TableSuite(clock)
         _observe_units(suite, units)
         return suite
 
-    workers = min(workers, len(units))
-    assignments: list[list[tuple[str, str]]] = [[] for _ in range(workers)]
-    for i, unit in enumerate(units):
-        assignments[i % workers].append(unit)
+    from repro.parallel.runner import run_workers
 
-    suite = TableSuite(clock)
+    workers = min(workers, len(units))
+    shares = [units[i::workers] for i in range(workers)]
     clock_ts = (clock.start_ts, clock.end_ts)
-    ctx = mp.get_context("spawn")
-    with tempfile.TemporaryDirectory(prefix="repro-report-") as tmp:
-        out_paths = [str(Path(tmp) / f"report-worker-{i:02d}.json") for i in range(workers)]
-        procs = [
-            ctx.Process(
-                target=_report_worker, args=(assignments[i], clock_ts, out_paths[i])
-            )
-            for i in range(workers)
-        ]
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join()
-        failures = [i for i, proc in enumerate(procs) if proc.exitcode != 0]
-        if failures:
-            raise RuntimeError(
-                f"report workers failed: {', '.join(str(i) for i in failures)}"
-            )
-        # Merge in worker-index order (merge is commutative, but a fixed
-        # order keeps runs reproducible down to accumulator internals).
-        for path in out_paths:
-            snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
-            suite.merge_snapshot(snapshot)
+    with tempfile.TemporaryDirectory(prefix="repro-parallel-") as root:
+        snapshots = run_workers(
+            _report_worker,
+            [(i, share, clock_ts, root) for i, share in enumerate(shares)],
+            [_label(share) for share in shares],
+            Path(root),
+        )
+    # Merge in worker-index order (merge is commutative, but a fixed
+    # order keeps runs reproducible down to accumulator internals).
+    for snapshot in snapshots:
+        suite.merge_snapshot(snapshot)
     return suite

@@ -29,10 +29,11 @@ records are atomic per email (retries never span a cut).  Because the
 slice plan is a pure function of the config and the canonical merge is
 stable, a run chained across K segments — at any worker count — is
 byte-identical to one uninterrupted run.  Segments run through the
-ordinary runners, re-exported here: :func:`run_segment`
-(:mod:`repro.stream.runner`) and :func:`run_segment_parallel`
-(:mod:`repro.parallel.runner`); an uninterrupted run is the segment
-``[0, n_days)`` from :func:`fresh_progress`.
+ordinary runners: :func:`run_segment` (:mod:`repro.stream.runner`,
+re-exported here) in process, and
+:func:`repro.parallel.run_parallel_simulation` with a loaded
+:class:`Checkpoint` as its source across workers; an uninterrupted run
+is the segment ``[0, n_days)`` from :func:`fresh_progress`.
 
 Branching (:func:`branch_checkpoint`) applies declared interventions
 (fix SPF fleet-wide, delist the proxies, retire squatted domains, ...)
@@ -60,7 +61,6 @@ _LAZY = {
     "diff_runs": "repro.checkpoint.diff",
     "render_diff": "repro.checkpoint.diff",
     "table_payload": "repro.checkpoint.diff",
-    "run_segment_parallel": "repro.parallel.runner",
     "fresh_progress": "repro.stream.runner",
     "run_segment": "repro.stream.runner",
 }

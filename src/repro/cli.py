@@ -396,22 +396,18 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _run(args, config, slices_dir, ckpt=None, until=None):
     """A run of ``config`` (or of checkpoint ``ckpt``) up to day ``until``
-    (``None``: the whole window), serially or across ``--workers``.
+    (``None``: the whole window): across worker processes with
+    ``--workers N`` (N > 1) or ``--resume``, which keeps per-slice shards
+    in ``slices_dir`` and reuses the verified ones; in process otherwise.
+    Either way it is a segment from the checkpoint's progress, or from
+    fresh progress."""
+    if args.workers > 1 or args.resume:
+        from repro.parallel.runner import run_parallel_simulation
 
-    Only a plain run — no checkpoint, no cut — runs through
-    :func:`repro.parallel.run_parallel_simulation`: its parent builds no
-    world, and ``--resume`` keeps per-slice shards in ``slices_dir`` and
-    reuses the verified ones.  Every other run is a segment from the
-    checkpoint's progress, or from fresh progress."""
-    from repro.parallel.runner import run_parallel_simulation, run_segment_parallel
-    from repro.stream.runner import fresh_progress, run_segment
-
-    workers = args.workers
-    if ckpt is None and until is None and (workers > 1 or args.resume):
         with run_parallel_simulation(
-            config, workers=workers,
+            config if ckpt is None else ckpt, args.workers,
             shard_root=slices_dir if args.resume else None,
-            resume=args.resume,
+            resume=args.resume, until_day=until,
         ) as run:
             _status(f"parallel run: {run.workers} worker(s), "
                     f"{len(run.slices)} slice(s), {run.elapsed_s:.1f}s")
@@ -421,6 +417,8 @@ def _run(args, config, slices_dir, ckpt=None, until=None):
                         f"{slices_dir}")
             yield run
         return
+    from repro.stream.runner import fresh_progress, run_segment
+
     if ckpt is not None:
         world, progress = ckpt.world, ckpt.progress
     else:
@@ -430,17 +428,7 @@ def _run(args, config, slices_dir, ckpt=None, until=None):
         with obs_profile.stage("world-build"):
             world = build_world(config)
         progress = fresh_progress(config)
-    until = world.clock.n_days if until is None else until
-    if workers <= 1:
-        yield run_segment(world, progress, until)
-        return
-    with run_segment_parallel(
-        world, progress, until, workers,
-        checkpoint_path=None if ckpt is None else ckpt.path,
-    ) as run:
-        _status(f"parallel segment: {run.workers} worker(s), "
-                f"{len(run.slices)} slice(s), {run.elapsed_s:.1f}s")
-        yield run
+    yield run_segment(world, progress, world.clock.n_days if until is None else until)
 
 
 def _cmd_simulate(args) -> int:
@@ -807,56 +795,65 @@ def _cmd_trace(args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.analytics.render import render_report
+    from repro.delivery.dataset import RecordDecodeError
+    from repro.parallel.errors import ParallelExecutionError
+    from repro.stream.sink import ShardIntegrityError
 
     batch = args.batch or args.labeler == "ebrc"
-    if args.shards:
-        if args.dataset is not None or batch:
-            print("report: --shards cannot be combined with a dataset "
-                  "positional, --batch, or --labeler ebrc", file=sys.stderr)
-            return 2
-        from repro.analytics.parallel import suite_from_shards
-
-        suite = suite_from_shards(args.shards, workers=args.workers)
-        payload = suite.tables(args.top)
-    elif args.dataset is None:
+    if args.shards and (args.dataset is not None or batch):
+        print("report: --shards cannot be combined with a dataset "
+              "positional, --batch, or --labeler ebrc", file=sys.stderr)
+        return 2
+    if not args.shards and args.dataset is None:
         print("report: need a dataset path, '-' (stdin), or --shards",
               file=sys.stderr)
         return 2
-    elif args.dataset == "-":
-        if batch:
-            print("report: --batch/--labeler ebrc need a saved dataset, "
-                  "not stdin", file=sys.stderr)
-            return 2
-        from repro.analytics import RecordDecodeError, TableSuite
-        from repro.analytics.io import iter_ndjson_records
+    if args.dataset == "-" and batch:
+        print("report: --batch/--labeler ebrc need a saved dataset, "
+              "not stdin", file=sys.stderr)
+        return 2
+    try:
+        payload = _report_payload(args, batch)
+    except (RecordDecodeError, ShardIntegrityError,
+            ParallelExecutionError) as exc:
+        # A worker's error names the failure on its first line; the rest
+        # is the worker's traceback.
+        first_line = str(exc).partition("\n")[0]
+        print(f"report: {first_line}", file=sys.stderr)
+        return 2
+    if not payload["n_records"]:
+        print("empty dataset", file=sys.stderr)
+        return 1
+    print(render_report(payload, args.top), end="")
+    return 0
 
-        suite = TableSuite()
-        try:
-            suite.observe_many(iter_ndjson_records(sys.stdin))
-        except RecordDecodeError as exc:
-            print(f"report: {exc}", file=sys.stderr)
-            return 2
-        payload = suite.tables(args.top)
-    elif batch:
+
+def _report_payload(args, batch: bool) -> dict:
+    """The table payload of the log ``report`` was pointed at."""
+    if args.shards:
+        from repro.analytics.parallel import suite_from_shards
+
+        return suite_from_shards(args.shards, workers=args.workers).tables(args.top)
+    if batch:
         from repro.analysis.label import EBRCLabeler, RuleLabeler
         from repro.analytics.batch import batch_tables
         from repro.stream.sink import iter_delivery_log
 
         dataset = DeliveryDataset(list(iter_delivery_log(args.dataset)))
         labeler = RuleLabeler() if args.labeler == "rules" else EBRCLabeler()
-        payload = batch_tables(dataset, top=args.top, labeler=labeler)
+        return batch_tables(dataset, top=args.top, labeler=labeler)
+    from repro.analytics import TableSuite
+
+    suite = TableSuite()
+    if args.dataset == "-":
+        from repro.delivery.dataset import iter_ndjson_records
+
+        suite.observe_many(iter_ndjson_records(sys.stdin))
     else:
-        from repro.analytics import TableSuite
         from repro.stream.sink import iter_delivery_log
 
-        suite = TableSuite()
         suite.observe_many(iter_delivery_log(args.dataset))
-        payload = suite.tables(args.top)
-    if not payload["n_records"]:
-        print("empty dataset", file=sys.stderr)
-        return 1
-    print(render_report(payload, args.top), end="")
-    return 0
+    return suite.tables(args.top)
 
 
 def _read_ndr_lines(source: str) -> list[str]:

@@ -1,9 +1,11 @@
 """Dataset container: a collection of delivery records with the filters
-and summaries the analysis layer builds on."""
+and summaries the analysis layer builds on, and the one NDJSON record
+decoder (:func:`iter_ndjson_records`) behind saved logs and stdin."""
 
 from __future__ import annotations
 
 import gzip
+import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +13,44 @@ from typing import Callable, Iterable, Iterator
 
 from repro.core.taxonomy import BounceDegree
 from repro.delivery.records import DeliveryRecord
+
+
+class RecordDecodeError(ValueError):
+    """A line of a record stream could not be decoded into a record."""
+
+    def __init__(self, source: str, line_no: int, reason: str) -> None:
+        self.source = source
+        self.line_no = line_no
+        self.reason = reason
+        super().__init__(f"{source}: line {line_no}: {reason}")
+
+
+def iter_ndjson_records(
+    lines: Iterable[str], source: str = "<stdin>"
+) -> Iterator[DeliveryRecord]:
+    """Decode NDJSON lines into records, skipping blank lines.
+
+    Raises :class:`RecordDecodeError` naming ``source`` and the 1-based
+    line number on the first malformed line.
+    """
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordDecodeError(source, line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(data, dict):
+            raise RecordDecodeError(
+                source, line_no, f"expected a JSON object, got {type(data).__name__}"
+            )
+        try:
+            yield DeliveryRecord.from_json_dict(data)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise RecordDecodeError(
+                source, line_no, f"not a delivery record ({exc.__class__.__name__}: {exc})"
+            ) from exc
 
 
 @dataclass
@@ -120,13 +160,12 @@ class DeliveryDataset:
 
     @classmethod
     def iter_jsonl(cls, path: str | Path) -> Iterator[DeliveryRecord]:
-        """Stream records without materialising the whole dataset."""
+        """Stream records without materialising the whole dataset; a
+        malformed line raises :class:`RecordDecodeError` naming ``path``
+        and the line."""
         path = Path(path)
         with cls._open(path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield DeliveryRecord.from_json(line)
+            yield from iter_ndjson_records(fh, source=str(path))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "DeliveryDataset":

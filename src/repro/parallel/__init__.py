@@ -5,12 +5,13 @@ seeded slices (:mod:`repro.parallel.partition`), runs them across worker
 processes that write checksummed shards (:mod:`repro.parallel.worker`),
 and k-way merges the per-slice streams back into the canonical record
 order (:mod:`repro.parallel.runner`) — byte-identical to the serial
-:func:`repro.stream.iter_simulation` for every worker count.  EBRC
-classification fans out the same way (:mod:`repro.parallel.classify`).
+:func:`repro.stream.iter_simulation` for every worker count.  The
+runner's supervisor is the only code in the package that starts worker
+processes; ``repro report --shards --workers N`` runs under it too.
 
 See docs/PARALLELISM.md for the determinism model and failure semantics.
 
-The runner/classify halves are loaded lazily (PEP 562): the serial
+The runner and resume modules are loaded lazily (PEP 562): the serial
 streaming runner imports :mod:`repro.parallel.partition` for the slice
 plan, and an eager package import here would close that cycle.
 """
@@ -40,7 +41,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerModeError",
     "assign_slices",
-    "classify_many_parallel",
     "count_attacker_campaigns",
     "iter_parallel_simulation",
     "load_completed_slice",
@@ -53,7 +53,6 @@ _LAZY = {
     "ParallelSimulation": "repro.parallel.runner",
     "iter_parallel_simulation": "repro.parallel.runner",
     "run_parallel_simulation": "repro.parallel.runner",
-    "classify_many_parallel": "repro.parallel.classify",
     "load_completed_slice": "repro.parallel.resume",
     "slice_fingerprint": "repro.parallel.resume",
 }

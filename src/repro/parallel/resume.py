@@ -8,12 +8,11 @@ records the current run would produce?"  The answer is yes iff:
    leaves ``manifest.partial.json`` instead, and a hard-killed one
    leaves nothing (:mod:`repro.stream.sink`);
 2. its **fingerprint** matches — a hash of the full config, the slice
-   key (plus shipped specs for extra slices), the shard options and the
-   segment (cut day and starting record count), so a directory produced
-   by a different config, seed, shard layout or segment is never
-   silently reused;
-3. (optionally but by default) every shard payload **re-hashes** to its
-   manifest checksum — catching on-disk corruption between runs.
+   key (plus shipped specs for extra slices) and the segment (cut day
+   and starting record count), so a directory produced by a different
+   config, seed, workload or segment is never silently reused;
+3. every shard payload **re-hashes** to its manifest checksum —
+   catching on-disk corruption between runs.
 
 Slices are deterministic pure functions of ``(config, slice)``
 (docs/PARALLELISM.md), which is what makes skip-and-merge sound: a
@@ -34,7 +33,7 @@ from repro.world.config import SimulationConfig
 
 #: Bump when the fingerprint payload changes shape; old directories then
 #: verify as stale and are re-run rather than misread.
-FINGERPRINT_VERSION = 2
+FINGERPRINT_VERSION = 3
 
 
 def _jsonify(value):
@@ -59,18 +58,15 @@ def slice_fingerprint(
     config: SimulationConfig, sim_slice: SimSlice, options: dict, n_delivered: int
 ) -> str:
     """The identity a slice directory's manifest must carry to be
-    reusable: config hash + slice key + the shard options that shape the
-    bytes on disk + the segment it holds (the cut and the slice's
-    starting ``n_delivered``), so a segment's directory never verifies as
-    a complete full-run slice.  Telemetry, analytics and the
+    reusable: config hash + slice key + the segment it holds (the cut
+    and the slice's starting ``n_delivered``), so a segment's directory
+    never verifies as a complete full-run slice.  Telemetry and the
     acceleration switches are deliberately excluded — they never change
     the record stream."""
     payload = {
         "version": FINGERPRINT_VERSION,
         "config": config_digest(config),
         "slice": sim_slice.key,
-        "shard_size": int(options["shard_size"]),
-        "compress": bool(options["compress"]),
         "until_day": int(options["until_day"]),
         "n_delivered": int(n_delivered),
     }
@@ -84,9 +80,7 @@ def slice_fingerprint(
 
 
 def load_completed_slice(
-    directory: str | Path,
-    fingerprint: str,
-    verify_payload: bool = True,
+    directory: str | Path, fingerprint: str
 ) -> ShardManifest | None:
     """The directory's manifest iff it holds a complete, matching,
     uncorrupted slice — ``None`` means "re-run this slice".
@@ -105,11 +99,10 @@ def load_completed_slice(
         return None
     if manifest.fingerprint != fingerprint:
         return None
-    if verify_payload:
-        try:
-            ShardReader(directory).verify()
-        except Exception:
-            return None
+    try:
+        ShardReader(directory).verify()
+    except Exception:
+        return None
     return manifest
 
 

@@ -104,6 +104,22 @@ def shard_dirs(tmp_path_factory, dataset):
     return dirs
 
 
+@pytest.fixture(scope="module")
+def torn_shards(tmp_path_factory, dataset):
+    """Four shards whose second one has a torn third line."""
+    from repro.stream.sink import ShardWriter
+
+    directory = tmp_path_factory.mktemp("analytics-torn") / "shards"
+    with ShardWriter(directory, shard_size=50) as writer:
+        for record in list(dataset)[:200]:
+            writer.write(record)
+    shard = directory / "shard-00001.jsonl"
+    lines = shard.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = '{"torn": \n'
+    shard.write_text("".join(lines), encoding="utf-8")
+    return directory
+
+
 class TestByteIdentity:
     def test_streaming_equals_batch(self, payload, batch_payload):
         assert payload == batch_payload
@@ -354,30 +370,22 @@ class TestSuiteFromShards:
         merged = suite_from_shards(shard_dirs, clock, workers=workers)
         assert merged.tables(TOP) == payload
 
+    def test_worker_failure_names_shard_and_cleans_up(
+        self, torn_shards, clock, monkeypatch, tmp_path
+    ):
+        import multiprocessing
+        import tempfile
 
-class TestParallelSimulationAnalytics:
-    def test_worker_partials_match_serial_suite(self):
-        from repro import SimulationConfig, run_simulation
-        from repro.parallel import run_parallel_simulation
+        from repro.analytics.parallel import suite_from_shards
+        from repro.parallel import SliceExecutionError
 
-        config = SimulationConfig(scale=0.02, seed=3)
-        serial = TableSuite.from_records(
-            run_simulation(config).dataset,
-            clock=None,  # suite clock defaults to the config window
-        )
-        with run_parallel_simulation(config, workers=2, analytics=True) as run:
-            assert run.analytics is not None
-            assert run.analytics.n_records == serial.n_records
-            assert render_report(run.analytics.tables(TOP), TOP) == \
-                render_report(serial.tables(TOP), TOP)
-
-    def test_analytics_off_by_default(self):
-        from repro import SimulationConfig
-        from repro.parallel import run_parallel_simulation
-
-        config = SimulationConfig(scale=0.01, seed=3)
-        with run_parallel_simulation(config, workers=2) as run:
-            assert run.analytics is None
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(
+            SliceExecutionError, match=r"shard-00001\.jsonl: record 3: "
+        ):
+            suite_from_shards([torn_shards], clock, workers=2)
+        assert list(tmp_path.glob("repro-*")) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestReportCli:
@@ -436,6 +444,26 @@ class TestReportCli:
         code, _, err = self._run(
             ["-q", "report", "-", "--batch"], capsys)
         assert code == 2 and "stdin" in err
+
+    def test_malformed_line_names_file_and_line(self, saved_log, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad.jsonl"
+        lines = saved_log.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = '{"torn": \n'
+        bad.write_text("".join(lines[:10]), encoding="utf-8")
+        code, out, err = self._run(["-q", "report", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert "bad.jsonl: line 5: invalid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_torn_shard_exits_2(self, torn_shards, capsys, workers):
+        code, out, err = self._run(
+            ["-q", "report", "--shards", str(torn_shards),
+             "--workers", workers], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("report: ") and err.count("\n") == 1
+        assert "shard-00001.jsonl: record 3: " in err
 
     def test_missing_dataset_still_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -84,7 +84,7 @@ class TestDiskFullMidShard:
         run = _resume(root, workers)
         assert run.resumed_slices and run.rerun_slices
         assert "slice" not in run.resumed_slices  # keys, not dir names
-        assert _lines(run.iter_records(verify=True)) == serial_lines
+        assert _lines(run.iter_records()) == serial_lines
 
     def test_resumed_run_is_idempotent(self, tmp_path, serial_lines):
         root = tmp_path / "slices"
@@ -113,7 +113,7 @@ class TestWorkerHardCrash:
             run_parallel_simulation(SMALL, workers=2, shard_root=root)
         run = _resume(root, 2)
         assert "campaign/1" in run.rerun_slices
-        assert _lines(run.iter_records(verify=True)) == serial_lines
+        assert _lines(run.iter_records()) == serial_lines
 
 
 class TestWorkerHang:
@@ -129,7 +129,7 @@ class TestWorkerHang:
             )
         run = _resume(root, 2)
         assert "campaign/0" in run.rerun_slices
-        assert _lines(run.iter_records(verify=True)) == serial_lines
+        assert _lines(run.iter_records()) == serial_lines
 
 
 class TestSilentCorruption:
@@ -141,13 +141,13 @@ class TestSilentCorruption:
         # Corruption is silent: the run itself succeeds...
         run = run_parallel_simulation(SMALL, workers=2, shard_root=root)
         with pytest.raises(ShardIntegrityError):
-            for _ in run.iter_records(verify=True):
+            for _ in run.iter_records():
                 pass
         # ...but resume re-hashes every reused directory, catches the rot,
         # and re-runs exactly the damaged slice.
         resumed = _resume(root, 2)
         assert len(resumed.rerun_slices) == 1
-        assert _lines(resumed.iter_records(verify=True)) == serial_lines
+        assert _lines(resumed.iter_records()) == serial_lines
 
     def test_default_merge_catches_a_flip_that_stays_valid_json(self, tmp_path):
         run = run_parallel_simulation(SMALL, workers=2, shard_root=tmp_path)
@@ -171,21 +171,6 @@ class TestSilentCorruption:
             for _ in run.iter_records():
                 pass
 
-    def test_unverified_resume_trusts_the_manifest(self, tmp_path):
-        root = tmp_path / "slices"
-        faults.install_plan(FaultPlan(specs=(
-            FaultSpec(kind="corrupt", match="slice-0002"),
-        )))
-        run_parallel_simulation(SMALL, workers=2, shard_root=root)
-        faults.clear_plan()
-        run = run_parallel_simulation(
-            SMALL, workers=2, shard_root=root, resume=True,
-            verify_resume=False,
-        )
-        # Documented trade-off: skipping payload verification reuses the
-        # corrupt directory (fingerprint alone cannot see bit rot).
-        assert not run.rerun_slices
-
 
 class TestTornManifest:
     def test_truncated_manifest_reruns_that_slice(self, tmp_path, serial_lines):
@@ -196,7 +181,7 @@ class TestTornManifest:
         manifest.write_text(text[: len(text) // 2])  # torn mid-write
         run = _resume(root, 2)
         assert len(run.rerun_slices) == 1
-        assert _lines(run.iter_records(verify=True)) == serial_lines
+        assert _lines(run.iter_records()) == serial_lines
 
 
 class TestResumeSemantics:
@@ -210,7 +195,7 @@ class TestResumeSemantics:
         )
         assert not run.resumed_slices
         assert len(run.rerun_slices) == len(run.slices)
-        assert _lines(run.iter_records(verify=True)) == serial_lines
+        assert _lines(run.iter_records()) == serial_lines
 
     def test_changed_config_invalidates_slices(self, tmp_path):
         root = tmp_path / "slices"
@@ -221,14 +206,6 @@ class TestResumeSemantics:
         )
         # Same slice plan shape, different seed: fingerprints differ, so
         # nothing of the seed-3 run may be reused.
-        assert not run.resumed_slices
-
-    def test_changed_shard_options_invalidate_slices(self, tmp_path):
-        root = tmp_path / "slices"
-        run_parallel_simulation(SMALL, workers=2, shard_root=root)
-        run = run_parallel_simulation(
-            SMALL, workers=2, shard_root=root, resume=True, compress=True
-        )
         assert not run.resumed_slices
 
     def test_resume_counters(self, tmp_path):

@@ -30,6 +30,7 @@ from repro.checkpoint import (
     run_segment,
     save_checkpoint,
 )
+from repro.parallel import run_parallel_simulation
 from repro.util.clock import DEFAULT_START
 from repro.world.model import build_world
 
@@ -121,6 +122,13 @@ class TestBranching:
         assert baseline[:head_len] == branch[:head_len]
         assert baseline[head_len:] != branch[head_len:]
         assert len(baseline) == len(branch)  # same specs, different outcomes
+
+    def test_branch_tail_with_workers(self, arms):
+        # Workers restore the branched directory; ones that rebuilt the
+        # world from its config would yield the baseline tail instead.
+        _, branch_dir, _, branch, head_len, _ = arms
+        with run_parallel_simulation(load_checkpoint(branch_dir), 2) as run:
+            assert [r.to_json() for r in run.iter_records()] == branch[head_len:]
 
     def test_needs_at_least_one_intervention(self, arms, tmp_path):
         base_dir, *_ = arms

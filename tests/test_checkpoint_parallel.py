@@ -4,9 +4,9 @@ The cut discipline makes worker count irrelevant to the output: each
 worker runs whole slices up to the day boundary, and the parent's
 ``MultiShardReader(order="time")`` merge breaks ties by slice-plan
 position exactly like the serial heap merge.  Both segments of a
-2-segment chain are exercised at every worker count, with the second
-segment restoring the world from the checkpoint directory (the same
-path a branched run takes).
+2-segment chain are exercised at every worker count: the head from the
+config, the tail from the loaded checkpoint, whose directory the workers
+restore (the same path a branched run takes).
 """
 
 from datetime import timedelta
@@ -18,9 +18,9 @@ from repro.checkpoint import (
     fresh_progress,
     load_checkpoint,
     run_segment,
-    run_segment_parallel,
     save_checkpoint,
 )
+from repro.parallel import ResumeError, run_parallel_simulation
 from repro.stream.runner import stream_simulation
 from repro.util.clock import DEFAULT_START
 from repro.world.model import build_world
@@ -62,20 +62,15 @@ def checkpoint(tmp_path_factory):
 class TestParallelChain:
     def test_head_segment_matches_serial(self, oracle, checkpoint, workers):
         _, head = checkpoint
-        config = _config()
-        world = build_world(config)
-        with run_segment_parallel(
-            world, fresh_progress(config), CUT, workers
+        with run_parallel_simulation(
+            _config(), workers, until_day=CUT
         ) as segment:
             lines = [r.to_json() for r in segment.iter_records()]
         assert lines == head == oracle[: len(head)]
 
     def test_tail_segment_from_checkpoint_path(self, oracle, checkpoint, workers):
         path, head = checkpoint
-        ckpt = load_checkpoint(path)
-        with run_segment_parallel(
-            ckpt.world, ckpt.progress, N_DAYS, workers, checkpoint_path=path
-        ) as segment:
+        with run_parallel_simulation(load_checkpoint(path), workers) as segment:
             tail = [r.to_json() for r in segment.iter_records()]
             progress = segment.progress
         assert head + tail == oracle
@@ -84,9 +79,7 @@ class TestParallelChain:
 
 class TestParallelSegmentLifecycle:
     def test_owned_shard_root_removed_on_close(self):
-        config = _config()
-        world = build_world(config)
-        segment = run_segment_parallel(world, fresh_progress(config), CUT, 2)
+        segment = run_parallel_simulation(_config(), 2, until_day=CUT)
         root = segment.shard_root
         assert root.exists()
         n = sum(1 for _ in segment.iter_records())
@@ -95,31 +88,37 @@ class TestParallelSegmentLifecycle:
         assert not root.exists()
 
     def test_explicit_shard_root_kept(self, tmp_path):
-        config = _config()
-        world = build_world(config)
         root = tmp_path / "shards"
-        with run_segment_parallel(
-            world, fresh_progress(config), CUT, 2, shard_root=root
+        with run_parallel_simulation(
+            _config(), 2, shard_root=root, until_day=CUT
         ) as segment:
             assert sum(1 for _ in segment.iter_records()) > 0
         assert root.exists()
 
     def test_until_day_validation(self):
-        config = _config()
-        world = build_world(config)
         with pytest.raises(ValueError, match="past the measurement window"):
-            run_segment_parallel(world, fresh_progress(config), N_DAYS + 1, 2)
+            run_parallel_simulation(_config(), 2, until_day=N_DAYS + 1)
+
+    def test_resume_needs_a_whole_run_of_a_config(self, checkpoint, tmp_path):
+        path, _ = checkpoint
+        with pytest.raises(ResumeError):
+            run_parallel_simulation(
+                load_checkpoint(path), 2, shard_root=tmp_path, resume=True
+            )
+        with pytest.raises(ResumeError):
+            run_parallel_simulation(
+                _config(), 2, shard_root=tmp_path, resume=True, until_day=CUT
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_failure_surfaces(self, monkeypatch):
         from repro import faults
         from repro.parallel.errors import SliceExecutionError
 
-        config = _config()
-        world = build_world(config)
         monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
             kind="raise", site="slice-start", match="campaign/0")]).to_json())
         with pytest.raises(SliceExecutionError, match="campaign/0"):
-            run_segment_parallel(world, fresh_progress(config), CUT, 2)
+            run_parallel_simulation(_config(), 2, until_day=CUT)
 
     def test_worker_crash_surfaces(self, monkeypatch, tmp_path):
         # Segment workers honour an installed fault plan: a crash at the
@@ -129,14 +128,12 @@ class TestParallelSegmentLifecycle:
         from repro import faults
         from repro.parallel.errors import WorkerCrashError
 
-        config = _config()
-        world = build_world(config)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
             kind="crash", site="slice-start", match="campaign/0")]).to_json())
         with pytest.raises(WorkerCrashError, match="campaign/0"):
-            run_segment_parallel(world, fresh_progress(config), CUT, 2)
-        assert list(tmp_path.glob("repro-ckpt-*")) == []
+            run_parallel_simulation(_config(), 2, until_day=CUT)
+        assert list(tmp_path.glob("repro-parallel-*")) == []
 
     def test_failed_start_stops_started_workers(self, monkeypatch, tmp_path):
         # Starting worker 1 fails while worker 0 runs: the failure guard
@@ -146,8 +143,6 @@ class TestParallelSegmentLifecycle:
 
         from repro import faults
 
-        config = _config()
-        world = build_world(config)
         # Every slice hangs, so a worker nobody stops stays alive.
         monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
             kind="hang", site="slice-start", match="/")]).to_json())
@@ -164,10 +159,10 @@ class TestParallelSegmentLifecycle:
         monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start)
         try:
             with pytest.raises(OSError, match="injected start failure"):
-                run_segment_parallel(world, fresh_progress(config), CUT, 2)
+                run_parallel_simulation(_config(), 2, until_day=CUT)
             started[0].join(timeout=5.0)
             assert not started[0].is_alive()
-            assert list(tmp_path.glob("repro-ckpt-*")) == []
+            assert list(tmp_path.glob("repro-parallel-*")) == []
         finally:
             for proc in started:
                 if proc.is_alive():

@@ -18,7 +18,6 @@ from repro.checkpoint import (
     fresh_progress,
     load_checkpoint,
     run_segment,
-    run_segment_parallel,
     save_checkpoint,
 )
 from repro.core import fastpath
@@ -204,7 +203,7 @@ class TestFullRunParity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_columnar_matches_serial(self, parallel_oracle, workers):
         with run_parallel_simulation(PARALLEL_CONFIG, workers=workers) as run:
-            assert _lines(run.iter_records(verify=True)) == parallel_oracle
+            assert _lines(run.iter_records()) == parallel_oracle
 
     def test_parallel_inherits_columnar_switch(self, parallel_oracle):
         # disable_columnar in the parent ships to the workers through the
@@ -238,9 +237,7 @@ class TestFullRunParity:
         oracle = _lines(serial.records)
         fastpath.disable()
         try:
-            with run_segment_parallel(
-                build_world(config), fresh_progress(config), cut, 2
-            ) as segment:
+            with run_parallel_simulation(config, 2, until_day=cut) as segment:
                 lines = _lines(segment.iter_records())
                 results = segment.worker_results
         finally:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.taxonomy import BounceDegree, BounceType
-from repro.delivery.dataset import DeliveryDataset
+from repro.delivery.dataset import DeliveryDataset, RecordDecodeError
 from repro.delivery.engine import DeliveryEngine
 from repro.delivery.records import AttemptRecord, DeliveryRecord
 from repro.util.rng import RandomSource
@@ -111,6 +111,15 @@ class TestDataset:
         back = DeliveryDataset.read_jsonl(path)
         assert len(back) == len(ds)
         assert back[1].receiver == ds[1].receiver
+
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        lines = [r.to_json() for r in self.make()] * 2
+        lines[4] = '{"torn": '
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RecordDecodeError, match="bad.jsonl: line 5: ") as info:
+            list(DeliveryDataset.iter_jsonl(path))
+        assert info.value.line_no == 5
 
     def test_volume_counter(self):
         volume = self.make().receiver_domain_volume()

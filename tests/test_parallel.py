@@ -2,8 +2,7 @@
 
 The load-bearing property is byte-level determinism: for a fixed seed
 and config, the merged record stream of a parallel run is identical to
-the serial streaming runner's at every worker count — and parallel EBRC
-classification returns exactly the serial results.  The failure-path
+the serial streaming runner's at every worker count.  The failure-path
 tests drive real child processes through an installed ``repro.faults``
 plan (raise / crash / hang at slice start) and assert the parent
 surfaces the dying slice by name without hanging.
@@ -22,7 +21,6 @@ from repro.parallel import (
     WorkerCrashError,
     WorkerModeError,
     assign_slices,
-    classify_many_parallel,
     count_attacker_campaigns,
     iter_parallel_simulation,
     plan_slices,
@@ -103,12 +101,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_equals_serial(self, serial_lines, workers):
         with run_parallel_simulation(SMALL, workers=workers) as run:
-            assert _lines(run.iter_records(verify=True)) == serial_lines
+            assert _lines(run.iter_records()) == serial_lines
 
-    def test_workers_one_falls_back_in_process(self, serial_lines):
-        run = run_parallel_simulation(SMALL, workers=1)
-        assert run.shard_root is None  # no processes, no shard round-trip
-        assert _lines(run.iter_records()) == serial_lines
+    def test_workers_one_runs_one_worker_process(self, serial_lines):
+        with run_parallel_simulation(SMALL, workers=1) as run:
+            assert len(run.worker_results) == 1
+            assert run.shard_root.is_dir()
+            assert _lines(run.iter_records()) == serial_lines
 
     def test_iter_parallel_simulation_cleans_up(self, serial_lines):
         stream = iter_parallel_simulation(SMALL, workers=2)
@@ -200,7 +199,6 @@ class TestFailures:
         before consulting the deadline, so 32 stuck workers overran a
         0.3s timeout by ~1.6s per loop."""
         import time
-        from types import SimpleNamespace
 
         from repro.parallel.runner import _join_workers
 
@@ -215,10 +213,10 @@ class TestFailures:
                 return True
 
         procs = [StuckProc() for _ in range(32)]
-        buckets = [[SimpleNamespace(key=f"stuck/{i}")] for i in range(32)]
+        labels = [f"slices: stuck/{i}" for i in range(32)]
         t0 = time.monotonic()
         with pytest.raises(ParallelTimeoutError, match="stuck/"):
-            _join_workers(procs, buckets, tmp_path, timeout=0.3)
+            _join_workers(procs, labels, tmp_path, timeout=0.3)
         assert time.monotonic() - t0 < 1.0
 
     def test_failed_run_removes_owned_shards(self, fail_hook):
@@ -290,7 +288,7 @@ class TestWorkerTelemetry:
     def test_segment_worker_metrics_merge_equals_serial(self):
         """Segment workers collect telemetry too, and the parent merges
         it: a 2-worker segment reports the serial segment's families."""
-        from repro.checkpoint import fresh_progress, run_segment, run_segment_parallel
+        from repro.checkpoint import fresh_progress, run_segment
         from repro.obs import metrics as obs_metrics
         from repro.world.model import build_world
 
@@ -309,9 +307,7 @@ class TestWorkerTelemetry:
                 pass
             serial = families()
             obs_metrics.reset()
-            with run_segment_parallel(
-                build_world(SMALL), fresh_progress(SMALL), cut, 2
-            ) as run:
+            with run_parallel_simulation(SMALL, 2, until_day=cut) as run:
                 for _ in run.iter_records():
                     pass
             parallel = families()
@@ -320,56 +316,6 @@ class TestWorkerTelemetry:
             obs_metrics.reset()
         assert serial
         assert serial == parallel
-
-
-# -- parallel classification --------------------------------------------------------
-
-
-class TestClassifyParallel:
-    @pytest.fixture(scope="class")
-    def corpus_and_ebrc(self):
-        from repro.core.ebrc import EBRC, EBRCConfig
-        from repro.core.taxonomy import BounceType
-        from repro.smtp.templates import NDRTemplateBank, TemplateDialect
-        from repro.util.rng import RandomSource
-
-        bank = NDRTemplateBank()
-        rng = RandomSource(53)
-        types = [t for t in BounceType if t is not BounceType.T16]
-        dialects = list(TemplateDialect)
-        messages = []
-        for i in range(4000):
-            t = rng.choice(types)
-            ndr = bank.render(
-                t, rng.choice(dialects), rng,
-                context={"address": f"u{i}@d{i % 31}.com",
-                         "ip": f"10.2.{i % 251}.7"},
-                ambiguity=0.05,
-            )
-            messages.append(ndr.text)
-        ebrc = EBRC(EBRCConfig(n_labeled_templates=120,
-                               samples_per_type=300)).fit(messages)
-        return messages, ebrc
-
-    def test_results_identical_to_serial(self, corpus_and_ebrc):
-        messages, ebrc = corpus_and_ebrc
-        serial = ebrc.classify_many(messages)
-        parallel = classify_many_parallel(
-            ebrc, messages, workers=2, chunk_size=500
-        )
-        assert parallel == serial
-
-    def test_small_input_short_circuits(self, corpus_and_ebrc):
-        messages, ebrc = corpus_and_ebrc
-        few = messages[:10]
-        assert classify_many_parallel(
-            ebrc, few, workers=4
-        ) == ebrc.classify_many(few)
-
-    def test_invalid_chunk_size(self, corpus_and_ebrc):
-        _, ebrc = corpus_and_ebrc
-        with pytest.raises(ValueError):
-            classify_many_parallel(ebrc, ["x"], workers=2, chunk_size=0)
 
 
 # -- pickle safety ------------------------------------------------------------------
@@ -406,7 +352,7 @@ class TestPickleSafety:
         buckets = assign_slices(plan_slices(SMALL), 2)
         progress = fresh_progress(SMALL)
         bucket = [(s, progress[s.key]) for s in buckets[0]]
-        args = (0, SMALL, bucket, "/tmp/x", worker_options(100, 100_000, False))
+        args = (0, SMALL, bucket, "/tmp/x", worker_options(100))
         assert pickle.loads(pickle.dumps(args))[1] == SMALL
 
     def test_delivery_record_round_trips(self, dataset):
