@@ -14,7 +14,6 @@ import tracemalloc
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
-from repro.obs.trace import reset_tracer
 from repro.stream.runner import stream_simulation
 from repro.world.config import SimulationConfig
 
@@ -32,7 +31,6 @@ def _telemetry_off():
     obs_metrics.disable()
     obs_metrics.reset()
     obs_profile.reset()
-    reset_tracer()
 
 
 def _timed(fn):

@@ -43,9 +43,10 @@ worker count.
 
 Output conventions: *data* (tables, JSONL, traces, metric expositions)
 goes to stdout; progress and status chatter goes to stderr, and
-``--quiet`` silences it.  Telemetry flags (``--metrics-out``,
-``--trace-sample``) turn collection on for that invocation only; the
-simulation output stays byte-identical either way.
+``--quiet`` silences it.  ``--metrics-out`` turns telemetry collection
+on for that invocation only, and ``--trace-sample N`` writes the span
+trees of every Nth email, rebuilt from the records the command reads
+or writes; the simulation output stays byte-identical either way.
 
 Entry point: ``repro`` / ``repro-bounce`` (or ``python -m repro.cli``).
 """
@@ -77,19 +78,64 @@ def _add_quiet(parser: argparse.ArgumentParser) -> None:
                         help="suppress progress/status output")
 
 
+def _sample_rate(text: str) -> int:
+    """Argument type of ``--trace-sample``: an integer >= 0."""
+    try:
+        every = int(text)
+    except ValueError:
+        every = -1
+    if every < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return every
+
+
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="collect telemetry and write metrics to PATH "
                              "('-' = stdout)")
     parser.add_argument("--metrics-format", choices=("prometheus", "json"),
                         default="prometheus")
-    parser.add_argument("--trace-sample", type=int, default=0, metavar="N",
+    parser.add_argument("--trace-sample", type=_sample_rate, default=0,
+                        metavar="N",
                         help="trace every Nth email (0 = tracing off)")
     parser.add_argument("--trace-out", default="traces.jsonl", metavar="PATH",
                         help="where traced span trees go, as JSONL "
                              "('-' = stdout)")
-    parser.add_argument("--trace-capacity", type=int, default=256,
-                        help="ring-buffer size for kept traces")
+
+
+@contextmanager
+def _traced(args, records):
+    """``records``, passed through; with ``--trace-sample N``, the span
+    tree of every record :func:`repro.obs.trace.sample_hit` picks goes
+    to ``--trace-out`` in log order, and a status line counts them once
+    the records are done."""
+    every = args.trace_sample
+    if not every:
+        yield records
+        return
+    from repro.obs.trace import sample_hit, span_tree_from_record
+
+    fh = (sys.stdout if args.trace_out == "-"
+          else open(args.trace_out, "w", encoding="utf-8"))
+    n_seen = n_traced = 0
+
+    def traced():
+        nonlocal n_seen, n_traced
+        for record in records:
+            n_seen += 1
+            if sample_hit(record.message_id, every):
+                fh.write(span_tree_from_record(record).to_json() + "\n")
+                n_traced += 1
+            yield record
+
+    try:
+        yield traced()
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
+    _status(f"traces: {n_traced} span tree(s) -> {args.trace_out} "
+            f"(sampled every {every} of {n_seen:,} emails)")
 
 
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
@@ -280,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="longest a queued request waits before 429")
     p.add_argument("--reload-interval", type=float, default=2.0, metavar="S",
                    help="artifact poll interval for hot reload (0 = off)")
-    p.add_argument("--trace-sample", type=int, default=0, metavar="N",
+    p.add_argument("--trace-sample", type=_sample_rate, default=0,
+                   metavar="N",
                    help="keep a span tree for every Nth observed record")
     p.add_argument("--trace-capacity", type=int, default=256,
                    help="ring-buffer size for kept traces (GET /traces)")
@@ -475,8 +522,8 @@ def _cmd_simulate(args) -> int:
     degrees: Counter = Counter()
     with _run(args, config, f"{args.out}.slices", ckpt,
               until if checkpointed else None) as run:
-        with DeliveryDataset._open(Path(args.out), "w") as fh:
-            for record in run:
+        with DeliveryDataset._open(Path(args.out), "w") as fh, _traced(args, run) as records:
+            for record in records:
                 fh.write(record.to_json())
                 fh.write("\n")
                 degrees[record.bounce_degree] += 1
@@ -559,16 +606,15 @@ def _cmd_stream(args) -> int:
 
     config = SimulationConfig(scale=args.scale, seed=args.seed)
     clock = SimClock(config.start, config.end)
-    with _run(args, config, f"{args.out_dir}.slices") as run, ShardWriter(
-        args.out_dir, shard_size=args.shard_size, compress=args.gzip
-    ) as writer:
-        for record in run:
-            writer.write(record)
-            n = writer.n_written
-            if args.progress_every and n % args.progress_every == 0:
-                _status(f"  {n:,} records "
-                        f"(sim day {clock.day_index(record.start_time)}"
-                        f"/{clock.n_days})")
+    with _run(args, config, f"{args.out_dir}.slices") as run, _traced(args, run) as records:
+        with ShardWriter(args.out_dir, shard_size=args.shard_size, compress=args.gzip) as writer:
+            for record in records:
+                writer.write(record)
+                n = writer.n_written
+                if args.progress_every and n % args.progress_every == 0:
+                    _status(f"  {n:,} records "
+                            f"(sim day {clock.day_index(record.start_time)}"
+                            f"/{clock.n_days})")
     manifest = writer.manifest
     _status(f"streamed {manifest.n_records:,} records into "
             f"{len(manifest.shards)} shard(s) under {args.out_dir} "
@@ -621,18 +667,6 @@ def _cmd_watch(args) -> int:
         bounce_types=BounceTypeMonitor(window_s=window_s),
     )
 
-    # Watch has no delivery engine, so --trace-sample reconstructs trees
-    # from replayed records instead of tracing live — using the same
-    # content-keyed 1-in-N rule as the live tracer, so a watch over a
-    # shard dir traces exactly the emails a live traced run would have.
-    trace_fh = None
-    n_traced = 0
-    if args.trace_sample:
-        from repro.obs.trace import sample_hit, span_tree_from_record
-
-        trace_fh = (sys.stdout if args.trace_out == "-"
-                    else open(args.trace_out, "w", encoding="utf-8"))
-
     reporter = None
     if args.report_every:
         from repro.stream.report_hook import PeriodicTableReporter
@@ -640,14 +674,8 @@ def _cmd_watch(args) -> int:
         reporter = PeriodicTableReporter(args.report_every,
                                          top=args.report_top)
 
-    def records():
-        nonlocal n_traced
-        for record in iter_delivery_log(args.log):
-            if trace_fh is not None and sample_hit(
-                record.message_id, args.trace_sample
-            ):
-                trace_fh.write(span_tree_from_record(record).to_json() + "\n")
-                n_traced += 1
+    def records(log):
+        for record in log:
             if reporter is not None:
                 rendered = reporter.feed(record)
                 if rendered is not None:
@@ -661,8 +689,8 @@ def _cmd_watch(args) -> int:
 
         labeler = RuleLabeler()
 
-        def pairs():
-            for record in records():
+        def pairs(log):
+            for record in records(log):
                 failure = record.first_failure()
                 bounce_type = (
                     labeler.classify(failure.result) if failure else None
@@ -670,30 +698,24 @@ def _cmd_watch(args) -> int:
                 yield record, bounce_type
 
         online = None
-        stream = pairs()
     else:
         online = OnlineEBRC(warmup=args.warmup)
         classifier = RecordClassifier(online)
 
-        def pairs():
-            for record in records():
+        def pairs(log):
+            for record in records(log):
                 yield from classifier.feed(record)
             yield from classifier.finalize()
 
-        stream = pairs()
-
     n_alerts = 0
-    try:
-        for alert in monitor.watch(stream):
+    with _traced(args, iter_delivery_log(args.log)) as log:
+        for alert in monitor.watch(pairs(log)):
             print(alert.render(clock))
             if not alert.cleared:
                 n_alerts += 1
                 if args.max_alerts and n_alerts >= args.max_alerts:
                     _status(f"stopping after {n_alerts} alerts (--max-alerts)")
                     break
-    finally:
-        if trace_fh is not None and trace_fh is not sys.stdout:
-            trace_fh.close()
     if reporter is not None:
         rendered = reporter.final()
         if rendered is not None:
@@ -706,8 +728,6 @@ def _cmd_watch(args) -> int:
                 f"{online.stats.n_flushed:,} classified, "
                 f"cache hit rate {online.stats.cache_hit_rate:.1%}, "
                 f"novel fraction {online.novel_fraction:.2%}")
-    if trace_fh is not None:
-        _status(f"traced {n_traced} record(s) -> {args.trace_out}")
     return 0
 
 
@@ -1169,12 +1189,6 @@ _COMMANDS = {
 }
 
 
-def _wants_live_obs(args) -> bool:
-    return bool(getattr(args, "metrics_out", None)) or bool(
-        getattr(args, "trace_sample", 0)
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     global _QUIET
     args = _build_parser().parse_args(argv)
@@ -1191,8 +1205,7 @@ def main(argv: list[str] | None = None) -> int:
     if no_columnar:
         fastpath.disable_columnar()
 
-    live_obs = _wants_live_obs(args)
-    tracer = None
+    live_obs = bool(getattr(args, "metrics_out", None))
     if live_obs:
         # Telemetry must be on BEFORE the world/engine is constructed —
         # instrumented objects read the flag once, at construction time.
@@ -1206,46 +1219,23 @@ def main(argv: list[str] | None = None) -> int:
         # registry (instance-level caches bind at construction, which
         # happens after this point).
         fastpath.reset()
-        if getattr(args, "trace_sample", 0) and args.command in (
-            "simulate", "stream"
-        ):
-            if getattr(args, "workers", 1) > 1:
-                _status("note: --trace-sample collects live spans only "
-                        "in-process; with --workers > 1, reconstruct "
-                        "traces from the output instead (repro trace)")
-            from repro.obs.trace import configure_tracer
-
-            tracer = configure_tracer(
-                sample_every=args.trace_sample,
-                capacity=getattr(args, "trace_capacity", 256),
-            )
     try:
         code = _COMMANDS[args.command](args)
         if live_obs and code == 0:
-            if getattr(args, "metrics_out", None):
-                from repro.obs.export import write_metrics
+            from repro.obs.export import write_metrics
 
-                write_metrics(args.metrics_out, args.metrics_format)
-                if args.metrics_out != "-":
-                    _status(f"metrics: {args.metrics_out}")
-            if tracer is not None:
-                n = tracer.export_jsonl(
-                    sys.stdout if args.trace_out == "-" else args.trace_out
-                )
-                _status(f"traces: {n} span tree(s) -> {args.trace_out} "
-                        f"(sampled every {tracer.sample_every} of "
-                        f"{tracer.n_seen:,} emails)")
+            write_metrics(args.metrics_out, args.metrics_format)
+            if args.metrics_out != "-":
+                _status(f"metrics: {args.metrics_out}")
         return code
     finally:
         if live_obs:
             from repro.obs import metrics as obs_metrics
             from repro.obs import profile as obs_profile
-            from repro.obs.trace import reset_tracer
 
             obs_metrics.disable()
             obs_metrics.reset()
             obs_profile.reset()
-            reset_tracer()
         if no_columnar:
             fastpath.enable_columnar()
         if no_cache:

@@ -32,9 +32,7 @@ reference code:
 - greylist checks, fleet-wide STARTTLS learning and DNSBL membership
   run live inside the executor (they are stateful but draw-free);
 - every retry past attempt 1 hands off to ``engine._run_attempts``,
-  the reference retry loop, resumed from the executor's partial state;
-- tracing-sampled runs never build an executor at all (the engine skips
-  columnar when a tracer is attached).
+  the reference retry loop, resumed from the executor's partial state.
 
 Chunks never cross a simulated day boundary, so checkpoint cuts (which
 happen on day edges) see exactly the same draw history under columnar

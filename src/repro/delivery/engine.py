@@ -32,13 +32,12 @@ from repro.auth.evaluator import AuthEvaluator
 from repro.core import fastpath
 from repro.core.taxonomy import BounceDegree, BounceType
 from repro.delivery.proxies import ProxyMTA
-from repro.delivery.records import AttemptRecord, DeliveryRecord, compute_message_id
+from repro.delivery.records import AttemptRecord, DeliveryRecord
 from repro.mta.filters import SpamVerdict
 from repro.mta.greylist import Greylist
 from repro.mta.receiver import AttemptContext
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
-from repro.obs.trace import Tracer, add_attempt_spans, get_tracer
 from repro.smtp.ndr import render_success
 from repro.smtp.templates import TemplateDialect
 from repro.util.rng import RandomSource
@@ -87,12 +86,7 @@ _RETRYABLE_TYPES = frozenset(
 
 
 class DeliveryEngine:
-    def __init__(
-        self,
-        world: WorldModel,
-        rng: RandomSource,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, world: WorldModel, rng: RandomSource) -> None:
         self.world = world
         self.rng = rng
         self._auth = AuthEvaluator(world.resolver)
@@ -121,8 +115,7 @@ class DeliveryEngine:
         # Telemetry: instruments resolve to shared no-ops when repro.obs is
         # disabled (the default); the cached flag keeps the disabled cost
         # of a delivery to one boolean check.  None of this touches the
-        # random streams, so traced/metered runs stay byte-identical.
-        self._tracer = tracer if tracer is not None else get_tracer()
+        # random streams, so metered runs stay byte-identical.
         self._obs_on = obs_metrics.enabled()
         self._m_emails = obs_metrics.counter(
             "repro_delivery_emails_total",
@@ -144,11 +137,9 @@ class DeliveryEngine:
             "Scheduled backoff before a retry attempt (log-2 buckets)",
             min_bound=1.0,
         )
-        # Columnar batch execution (plan-backed first attempts).  Tracing
-        # samples emails with stateful side effects inside the loop, so a
-        # traced engine always runs the reference path.
+        # Columnar batch execution (plan-backed first attempts).
         self._batch = None
-        if fastpath.columnar_enabled() and self._tracer is None:
+        if fastpath.columnar_enabled():
             from repro.delivery.columnar import ColumnarExecutor
 
             self._batch = ColumnarExecutor(self)
@@ -204,21 +195,9 @@ class DeliveryEngine:
             budget = config.max_attempts
         _require_budget(budget)
 
-        tracer = self._tracer
-        span = None
-        if tracer is not None:
-            span = tracer.maybe_start(
-                "email",
-                spec.t,
-                message_id=compute_message_id(spec.sender, spec.receiver, spec.t),
-                sender=spec.sender,
-                receiver=spec.receiver,
-                flag=email_flag,
-            )
-
         attempts: list[AttemptRecord] = []
-        succeeded = self._run_attempts(spec, budget, attempts, spec.t, None, 0, span)
-        return self._finish_record(spec, email_flag, attempts, succeeded, span)
+        succeeded = self._run_attempts(spec, budget, attempts, spec.t, None, 0)
+        return self._finish_record(spec, email_flag, attempts, succeeded)
 
     def deliver_all(self, specs: Iterable[EmailSpec]):
         """Deliver a whole workload (any iterable, consumed lazily);
@@ -253,8 +232,6 @@ class DeliveryEngine:
         t: float,
         proxy: ProxyMTA | None,
         nonretryable_seen: int,
-        span=None,
-        succeeded: bool = False,
     ) -> bool:
         """The retry loop, runnable from a partial state.
 
@@ -264,22 +241,16 @@ class DeliveryEngine:
         retry time).  Returns whether the final attempt succeeded."""
         config = self.world.config
         rng = self.rng
+        succeeded = False
         while len(attempts) < budget:
             last_type = attempts[-1].truth_type if attempts else None
             proxy = self._pick_proxy(proxy, last_type)
-            if span is not None and attempts:
-                previous = attempts[-1]
-                span.child(
-                    "retry_wait", previous.t + previous.latency_ms / 1000.0
-                ).end(t)
-            attempt, mx_host = self._attempt(spec, proxy, t)
+            attempt = self._attempt(spec, proxy, t)
             attempts.append(attempt)
             succeeded = attempt.succeeded
             if self._obs_on:
                 self._m_attempts.labels(attempt.truth_type or "delivered").inc()
                 self._m_latency.observe(attempt.latency_ms)
-            if span is not None:
-                add_attempt_spans(span, attempt, len(attempts) - 1, mx_host)
             if succeeded:
                 break
             if attempt.truth_type == BounceType.T4.value:
@@ -303,7 +274,6 @@ class DeliveryEngine:
         email_flag: str,
         attempts: list[AttemptRecord],
         succeeded: bool,
-        span=None,
     ) -> DeliveryRecord:
         record = DeliveryRecord(
             sender=spec.sender,
@@ -315,7 +285,7 @@ class DeliveryEngine:
             truth_tags=spec.tags,
             truth_spamminess=spec.spamminess,
         )
-        if self._obs_on or span is not None:
+        if self._obs_on:
             # The loop breaks the moment an attempt succeeds, so the final
             # `succeeded` IS record.delivered; recomputing the degree from
             # it avoids re-parsing every attempt's reply code (the
@@ -327,12 +297,7 @@ class DeliveryEngine:
                 degree = BounceDegree.NON_BOUNCED.value
             else:
                 degree = BounceDegree.SOFT_BOUNCED.value
-            if self._obs_on:
-                self._m_emails.labels(degree).inc()
-            if span is not None:
-                span.set(degree=degree, n_attempts=len(attempts))
-                span.end(record.end_time, status="ok" if succeeded else "error")
-                self._tracer.finish(span)
+            self._m_emails.labels(degree).inc()
         return record
 
     def _pick_proxy(
@@ -356,11 +321,8 @@ class DeliveryEngine:
             self._greylists[domain] = store
         return store
 
-    def _attempt(
-        self, spec: EmailSpec, proxy: ProxyMTA, t: float
-    ) -> tuple[AttemptRecord, str | None]:
-        """One delivery attempt; returns the record plus the resolved MX
-        host (``None`` when routing failed), which tracing annotates."""
+    def _attempt(self, spec: EmailSpec, proxy: ProxyMTA, t: float) -> AttemptRecord:
+        """One delivery attempt."""
         world = self.world
         rng = self.rng
         receiver_domain = spec.receiver_domain
@@ -386,7 +348,7 @@ class DeliveryEngine:
                     latency_ms=world.network.timeout_latency_ms(rng),
                     truth_type=ndr.truth_type,
                     ambiguous=ndr.ambiguous,
-                ), None
+                )
             ndr = world.bank.render(
                 BounceType.T2,
                 _SENDER_DIALECT,
@@ -401,7 +363,7 @@ class DeliveryEngine:
                 latency_ms=int(rng.uniform(400, 4_000)),
                 truth_type=ndr.truth_type,
                 ambiguous=ndr.ambiguous,
-            ), None
+            )
 
         snap = None
         if self._fast:
@@ -415,7 +377,7 @@ class DeliveryEngine:
         if rdomain is None:
             # Registered domain without a mail service we model (e.g. a
             # re-registered squat without mailboxes): treat as unknown user.
-            return self._reject_unknown_service(spec, proxy, t, mx_host), mx_host
+            return self._reject_unknown_service(spec, proxy, t, mx_host)
 
         to_ip = rng.choice(rdomain.ips)
 
@@ -448,7 +410,7 @@ class DeliveryEngine:
                 latency_ms=world.network.timeout_latency_ms(rng),
                 truth_type=ndr.truth_type,
                 ambiguous=ndr.ambiguous,
-            ), mx_host
+            )
         if interrupt_p is None:
             interrupt_p = world.network.interrupt_probability(
                 proxy.country, rdomain.mta_country
@@ -468,7 +430,7 @@ class DeliveryEngine:
                 latency_ms=world.network.interrupt_latency_ms(rng),
                 truth_type=ndr.truth_type,
                 ambiguous=ndr.ambiguous,
-            ), mx_host
+            )
 
         # 3. the receiver's policy gauntlet.
         sender_domain = spec.sender_domain
@@ -509,7 +471,7 @@ class DeliveryEngine:
                 result=render_success(),
                 latency_ms=latency,
                 truth_type=None,
-            ), mx_host
+            )
 
         assert decision.ndr is not None
         return AttemptRecord(
@@ -520,7 +482,7 @@ class DeliveryEngine:
             latency_ms=int(rng.uniform(800, 12_000)),
             truth_type=decision.ndr.truth_type,
             ambiguous=decision.ndr.ambiguous,
-        ), mx_host
+        )
 
     def _reject_unknown_service(
         self, spec: EmailSpec, proxy: ProxyMTA, t: float, mx_host: str

@@ -35,9 +35,9 @@ class _OutsideSchema(Exception):
 def compute_message_id(sender: str, receiver: str, start_time: float) -> str:
     """Deterministic 16-hex id of one email.
 
-    Derived from the record's identity fields only, so live traces,
-    reconstructed traces, and shard records agree on ids across runs and
-    replays without widening the Figure 3 serialisation format.
+    Derived from the record's identity fields only, so traces and shard
+    records agree on ids across runs and replays without widening the
+    Figure 3 serialisation format.
     """
     payload = f"{sender}|{receiver}|{start_time:.6f}"
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]

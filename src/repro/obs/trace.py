@@ -18,31 +18,24 @@ Spans carry **simulation** timestamps (POSIX seconds), not wall time —
 they describe where in the delivery path an email failed, which is the
 question every analysis in the paper reduces to.
 
-Two ways to obtain a tree:
-
-* **Live**: :class:`Tracer` samples a deterministic 1-in-N subset of
-  delivered emails inside the engine (keyed on the message id, so the
-  same emails are traced no matter what order — or in which process —
-  they are delivered; see :func:`sample_hit`) and keeps finished trees
-  in a bounded ring buffer (:meth:`Tracer.export_jsonl` dumps them as
-  JSONL).
-* **Reconstructed**: :func:`span_tree_from_record` rebuilds the identical
-  stage structure from any stored :class:`DeliveryRecord`, because every
-  stage outcome is recoverable from the attempt's result line and truth
-  type — so ``repro trace`` works on any shard dir, traced or not.
+A tree comes from the record stream: :func:`span_tree_from_record`
+rebuilds it from any :class:`DeliveryRecord`, because every stage outcome
+is recoverable from the attempt's result line, receiver IP and truth
+type.  ``simulate``/``stream``/``watch --trace-sample N``, ``repro
+trace`` and the daemon's ``/traces`` all trace this way, so a log traces
+the same whichever run, worker count or replay produced it; the 1-in-N
+subset is :func:`sample_hit` over the message id.
 
 Message identity is :func:`compute_message_id` over
-``(sender, receiver, start_time)`` — deterministic, so live traces,
-reconstructions, and shard records all agree on ids.
+``(sender, receiver, start_time)`` — deterministic, so traces and shard
+records agree on ids.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.delivery.records import compute_message_id
@@ -52,12 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Span",
-    "Tracer",
-    "add_attempt_spans",
     "compute_message_id",
-    "configure_tracer",
-    "get_tracer",
-    "reset_tracer",
     "sample_hit",
     "span_tree_from_record",
 ]
@@ -162,92 +150,6 @@ class Span:
         return "\n".join(lines)
 
 
-# -- tracer ------------------------------------------------------------------------
-
-
-class Tracer:
-    """Content-keyed sampler plus bounded ring buffer of finished trees.
-
-    ``sample_every=N`` keeps the deterministic 1-in-N subset of units
-    whose ``message_id`` satisfies :func:`sample_hit` — the same emails
-    every run, in every process, at every worker count (and the sampler
-    never touches the simulation's random streams).  Units started
-    without a ``message_id`` fall back to count-based sampling (index
-    0, N, 2N, ...).
-    """
-
-    def __init__(self, sample_every: int = 1, capacity: int = 256) -> None:
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sample_every = sample_every
-        self.capacity = capacity
-        self.n_seen = 0
-        self.n_sampled = 0
-        self.n_dropped = 0
-        self._spans: deque[Span] = deque(maxlen=capacity)
-
-    def maybe_start(self, name: str, t0: float, **attrs) -> Span | None:
-        """Root span for the next unit of work, or ``None`` when the
-        sampler skips it."""
-        index = self.n_seen
-        self.n_seen += 1
-        message_id = attrs.get("message_id")
-        if message_id is not None:
-            if not sample_hit(message_id, self.sample_every):
-                return None
-        elif index % self.sample_every:
-            return None
-        self.n_sampled += 1
-        return Span(name=name, t0=t0, attrs=attrs)
-
-    def finish(self, span: Span) -> None:
-        if len(self._spans) == self._spans.maxlen:
-            self.n_dropped += 1
-        self._spans.append(span)
-
-    @property
-    def spans(self) -> list[Span]:
-        return list(self._spans)
-
-    def find(self, message_id: str) -> Span | None:
-        for span in self._spans:
-            if span.attrs.get("message_id") == message_id:
-                return span
-        return None
-
-    def export_jsonl(self, path) -> int:
-        """Write one JSON object per root span; returns the span count."""
-        if hasattr(path, "write"):
-            for span in self._spans:
-                path.write(span.to_json() + "\n")
-            return len(self._spans)
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for span in self._spans:
-                fh.write(span.to_json() + "\n")
-        return len(self._spans)
-
-
-_TRACER: Tracer | None = None
-
-
-def get_tracer() -> Tracer | None:
-    """The configured tracer, or ``None`` when tracing is off (default)."""
-    return _TRACER
-
-
-def configure_tracer(sample_every: int = 1, capacity: int = 256) -> Tracer:
-    global _TRACER
-    _TRACER = Tracer(sample_every=sample_every, capacity=capacity)
-    return _TRACER
-
-
-def reset_tracer() -> None:
-    global _TRACER
-    _TRACER = None
-
-
 # -- stage reconstruction -----------------------------------------------------------
 
 #: truth types decided on the sender/transport side (never reached a
@@ -256,18 +158,10 @@ _SENDER_SIDE = {"T2"}
 _TRANSPORT_STATUS = {"T14": "timeout", "T15": "interrupted"}
 
 
-def add_attempt_spans(
-    parent: Span,
-    attempt: "AttemptRecord",
-    index: int,
-    mx_host: str | None,
-) -> Span:
-    """Append the stage spans of one attempt under ``parent``.
-
-    Shared by the live engine path and :func:`span_tree_from_record`, so a
-    reconstructed tree has the same shape as a live one.  ``mx_host`` is
-    the resolved MX (``None`` when resolution failed).
-    """
+def _add_attempt_spans(
+    parent: Span, attempt: "AttemptRecord", index: int, domain: str
+) -> None:
+    """Append the stage spans of one attempt at ``domain`` under ``parent``."""
     from repro.core.taxonomy import BounceType
     from repro.smtp.session import REJECTION_STAGE, SmtpStage
 
@@ -285,8 +179,12 @@ def add_attempt_spans(
     if truth in _SENDER_SIDE:
         mx.end(t0, status="error")
         span.child("policy_verdict", t1, verdict=truth, origin="sender").end(t1)
-        return span
-    mx.set(mx=mx_host).end(t0)
+        return
+    # The record keeps no MX host name: a routed attempt names the
+    # primary.  A T14 without a receiver IP reached no host — DNS
+    # answered, but every MX host was inside an outage window.
+    routed = truth != "T14" or attempt.to_ip
+    mx.set(mx=f"mx1.{domain}" if routed else None).end(t0)
 
     session = span.child("smtp_session", t0)
     if truth in _TRANSPORT_STATUS:
@@ -295,11 +193,11 @@ def add_attempt_spans(
         span.child(
             "policy_verdict", t1, verdict=truth, origin="transport"
         ).end(t1)
-        return span
+        return
     if truth is None:
         session.set(stage=SmtpStage.DONE.value).end(t1)
         span.child("policy_verdict", t1, verdict="accepted").end(t1)
-        return span
+        return
 
     try:
         stage = REJECTION_STAGE[BounceType(truth)]
@@ -312,7 +210,6 @@ def add_attempt_spans(
     if attempt.ambiguous:
         verdict.attrs["ambiguous"] = True
     verdict.end(t1)
-    return span
 
 
 def span_tree_from_record(record: "DeliveryRecord") -> Span:
@@ -327,15 +224,14 @@ def span_tree_from_record(record: "DeliveryRecord") -> Span:
             "flag": record.email_flag,
         },
     )
-    mx_guess = f"mx1.{record.receiver_domain}"
+    domain = record.receiver_domain
     previous = None
     for i, attempt in enumerate(record.attempts):
         if previous is not None:
             root.child("retry_wait", previous.t + previous.latency_ms / 1000.0).end(
                 attempt.t
             )
-        mx_host = None if attempt.truth_type in _SENDER_SIDE else mx_guess
-        add_attempt_spans(root, attempt, i, mx_host)
+        _add_attempt_spans(root, attempt, i, domain)
         previous = attempt
     degree = record.bounce_degree
     root.set(degree=degree.value, n_attempts=record.n_attempts)

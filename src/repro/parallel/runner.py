@@ -106,7 +106,7 @@ class ParallelSimulation:
     #: slice-plan order (slices already done before the run are left out).
     slices: list[SimSlice]
     shard_root: Path
-    #: Per-worker result payloads (worker-index order).
+    #: Result payloads of the started workers, in worker-index order.
     worker_results: list[dict] = field(default_factory=list)
     #: True when the runtime created (and should remove) ``shard_root``.
     owns_shards: bool = False
@@ -128,12 +128,6 @@ class ParallelSimulation:
         if self._world is None:
             self._world = build_world(self.config)
         return self._world
-
-    @property
-    def n_records(self) -> int:
-        return sum(
-            sum(result["n_records"].values()) for result in self.worker_results
-        )
 
     def iter_records(self) -> Iterator[DeliveryRecord]:
         """The canonical time-ordered record stream (identical to the
@@ -311,17 +305,6 @@ def run_parallel_simulation(
         progress[s.key] = {"status": "done", "n_delivered": n}
     for result in results:
         progress.update(result["progress"])
-    if reused:
-        # Synthetic result for the reused slices, so n_records and the
-        # result log stay complete under resume.
-        results.insert(0, {
-            "worker": None,
-            "slices": [s.key for s, _ in reused],
-            "n_records": {s.key: n for s, n in reused},
-            "elapsed_s": 0.0,
-            "snapshot": None,
-            "resumed": True,
-        })
 
     return ParallelSimulation(
         config=config,

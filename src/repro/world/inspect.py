@@ -128,7 +128,6 @@ _SKIP_ATTRS = frozenset(
         "_state_stats",
         "_stats",
         "_obs_on",
-        "_tracer",
         # Cache-invalidation counters: two worlds differing only in how
         # often an attribute was (re)assigned are semantically identical.
         "_epoch",

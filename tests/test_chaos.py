@@ -197,6 +197,27 @@ class TestResumeSemantics:
         assert len(run.rerun_slices) == len(run.slices)
         assert _lines(run.iter_records()) == serial_lines
 
+    def test_whole_reuse_starts_no_worker(self, tmp_path, serial_lines):
+        root = tmp_path / "slices"
+        run_parallel_simulation(SMALL, workers=2, shard_root=root)
+        run = _resume(root, 2)
+        assert run.worker_results == []
+        assert run.resumed_slices == [s.key for s in run.slices]
+        assert not run.rerun_slices
+        assert _lines(run.iter_records()) == serial_lines
+
+    def test_partial_reuse_has_one_result_per_started_worker(self, tmp_path):
+        root = tmp_path / "slices"
+        run_parallel_simulation(SMALL, workers=2, shard_root=root)
+        (root / "slice-0001" / MANIFEST_NAME).unlink()
+        (root / "slice-0003" / MANIFEST_NAME).unlink()
+        run = _resume(root, 2)
+        assert len(run.rerun_slices) == 2
+        assert [r["worker"] for r in run.worker_results] == [0, 1]
+        assert sorted(
+            key for r in run.worker_results for key in r["slices"]
+        ) == sorted(run.rerun_slices)
+
     def test_changed_config_invalidates_slices(self, tmp_path):
         root = tmp_path / "slices"
         run_parallel_simulation(SMALL, workers=2, shard_root=root)

@@ -318,7 +318,6 @@ class TestObsFlags:
 
     def test_telemetry_state_restored_after_run(self, tmp_path):
         from repro.obs import metrics as obs_metrics
-        from repro.obs.trace import get_tracer
 
         assert main(["--quiet", "simulate", "--scale", "0.002", "--seed", "5",
                      "--out", str(tmp_path / "log.jsonl"),
@@ -326,7 +325,149 @@ class TestObsFlags:
                      "--trace-sample", "5",
                      "--trace-out", str(tmp_path / "t.jsonl")]) == 0
         assert not obs_metrics.enabled()
-        assert get_tracer() is None
+
+
+#: A traced world large enough to bounce for many reasons (at scales
+#: below about 0.03 nearly every bounce is a T8), sampled 1 in 7.
+TRACED = ["--scale", "0.03", "--seed", "9", "--trace-sample", "7"]
+
+
+def _expected_traces(log) -> list[str]:
+    """What a ``--trace-sample 7`` run over ``log`` writes: the rebuilt
+    tree of every sampled record, in log order."""
+    from repro.obs.trace import sample_hit, span_tree_from_record
+    from repro.stream.sink import iter_delivery_log
+
+    return [
+        span_tree_from_record(record).to_json()
+        for record in iter_delivery_log(log)
+        if sample_hit(record.message_id, 7)
+    ]
+
+
+def _lines(path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+class TestTraceSample:
+    """Traces come from the record stream, so every way of making the
+    same records writes the same trace file."""
+
+    @pytest.fixture(scope="class")
+    def serial(self, tmp_path_factory):
+        """A serial traced run: its directory and the number of chunks
+        the columnar executor delivered."""
+        from repro.delivery.columnar import ColumnarExecutor
+
+        tmp = tmp_path_factory.mktemp("traced")
+        deliver_chunk = ColumnarExecutor.deliver_chunk
+        chunks = []
+
+        def counted(self, specs):
+            chunks.append(len(specs))
+            return deliver_chunk(self, specs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ColumnarExecutor, "deliver_chunk", counted)
+            assert main(["--quiet", "simulate", *TRACED,
+                         "--out", str(tmp / "log.jsonl"),
+                         "--trace-out", str(tmp / "traces.jsonl")]) == 0
+        return tmp, len(chunks)
+
+    def test_serial_run_writes_every_sampled_tree_in_log_order(self, serial):
+        tmp, _ = serial
+        traces = _lines(tmp / "traces.jsonl")
+        assert traces == _expected_traces(tmp / "log.jsonl")
+        assert len(traces) > 256  # the size of the old in-memory ring
+
+    def test_traced_run_delivers_through_the_columnar_executor(self, serial):
+        _, chunks = serial
+        assert chunks > 0
+
+    def test_workers_write_the_serial_file(self, serial, tmp_path):
+        tmp, _ = serial
+        assert main(["--quiet", "simulate", *TRACED, "--workers", "2",
+                     "--out", str(tmp_path / "log.jsonl"),
+                     "--trace-out", str(tmp_path / "traces.jsonl")]) == 0
+        assert _lines(tmp_path / "traces.jsonl") == _expected_traces(
+            tmp_path / "log.jsonl")
+        assert (tmp_path / "traces.jsonl").read_bytes() == (
+            tmp / "traces.jsonl").read_bytes()
+
+    def test_resume_writes_the_serial_file(self, serial, tmp_path):
+        """Once running every slice, then again reusing every slice."""
+        tmp, _ = serial
+        for _ in range(2):
+            assert main(["--quiet", "simulate", *TRACED, "--resume",
+                         "--out", str(tmp_path / "log.jsonl"),
+                         "--trace-out", str(tmp_path / "traces.jsonl")]) == 0
+            assert _lines(tmp_path / "traces.jsonl") == _expected_traces(
+                tmp_path / "log.jsonl")
+            assert (tmp_path / "traces.jsonl").read_bytes() == (
+                tmp / "traces.jsonl").read_bytes()
+
+    def test_checkpoint_tail_writes_the_tail_of_the_serial_file(
+        self, serial, tmp_path
+    ):
+        tmp, _ = serial
+        ckpt = tmp_path / "ckpt"
+        assert main(["--quiet", "simulate", "--scale", "0.03", "--seed", "9",
+                     "--until", "200", "--save-checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "head.jsonl")]) == 0
+        assert main(["--quiet", "simulate", "--from-checkpoint", str(ckpt),
+                     "--trace-sample", "7",
+                     "--out", str(tmp_path / "tail.jsonl"),
+                     "--trace-out", str(tmp_path / "traces.jsonl")]) == 0
+        tail = _lines(tmp_path / "traces.jsonl")
+        assert tail == _expected_traces(tmp_path / "tail.jsonl")
+        serial_traces = _lines(tmp / "traces.jsonl")
+        assert 0 < len(tail) < len(serial_traces)
+        assert tail == serial_traces[-len(tail):]
+
+    def test_stream_writes_the_serial_file(self, serial, tmp_path):
+        tmp, _ = serial
+        assert main(["--quiet", "stream", *TRACED, "--progress-every", "0",
+                     "--out-dir", str(tmp_path / "shards"),
+                     "--trace-out", str(tmp_path / "traces.jsonl")]) == 0
+        assert (tmp_path / "traces.jsonl").read_bytes() == (
+            tmp / "traces.jsonl").read_bytes()
+
+    def test_watch_writes_the_serial_file(self, serial, tmp_path, capsys):
+        tmp, _ = serial
+        assert main(["watch", str(tmp / "log.jsonl"), "--labeler", "rules",
+                     "--trace-sample", "7",
+                     "--trace-out", str(tmp_path / "traces.jsonl")]) == 0
+        assert (tmp_path / "traces.jsonl").read_bytes() == (
+            tmp / "traces.jsonl").read_bytes()
+        n = len(_lines(tmp / "traces.jsonl"))
+        assert f"traces: {n} span tree(s) -> " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scale", "0.002", "--out", "unused.jsonl"],
+        ["watch", "unused.jsonl"],
+        ["serve", "--artifact", "unused.json"],
+    ], ids=["simulate", "watch", "serve"])
+    def test_negative_sample_rate_is_a_usage_error(self, argv, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trace-sample", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --trace-sample" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_capacity_bounds_only_the_serve_ring(self, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trace-capacity", "5"])
+        assert exc.value.code == 2
+        assert "--trace-capacity" in capsys.readouterr().err
+        args = _build_parser().parse_args(
+            ["serve", "--artifact", "a.json", "--trace-capacity", "5"])
+        assert args.trace_capacity == 5
 
 
 class TestMetricsCommand:

@@ -323,12 +323,6 @@ class TestSwitch:
             fastpath.enable_columnar()
         assert engine._batch is None
 
-    def test_traced_engine_bypasses_columnar(self, small_world):
-        from repro.obs.trace import Tracer
-
-        engine = DeliveryEngine(small_world, RandomSource(2), tracer=Tracer())
-        assert engine._batch is None
-
     def test_cli_no_columnar_flag_is_byte_identical(self, tmp_path):
         from repro.cli import main
 

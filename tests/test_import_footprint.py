@@ -111,6 +111,19 @@ def test_simulation_runs_without_numpy(tmp_path):
     )
 
 
+def test_simulation_leaves_tracing_unloaded(tmp_path):
+    """Traces are rebuilt from records, so an untraced serial
+    ``simulate`` never imports the tracing module."""
+    loaded = _run_fresh(textwrap.dedent(f"""
+        import sys
+        from repro.cli import main
+        assert main(["--quiet", "simulate", "--scale", "0.03", "--seed", "9",
+                     "--out", {str(tmp_path / "log.jsonl")!r}]) == 0
+        print(" ".join(m for m in ("repro.obs.trace",) if m in sys.modules))
+    """)).split()
+    assert loaded == []
+
+
 def test_checkpoint_store_leaves_the_analyses_unloaded():
     """A worker restoring a checkpoint imports ``repro.checkpoint.store``
     and so the package, whose exports resolve on first use."""
