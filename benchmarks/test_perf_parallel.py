@@ -2,19 +2,20 @@
 worker processes.
 
 The `serial` row times `stream_simulation`, drained, in this process; the
-worker rows time end-to-end `run_parallel_simulation` (spawn + per-slice
-shards) and the drain of its merged stream.  Every row is the best of
-``REPEATS`` runs by wall-clock and splits it into ``run_s`` (until the
-runner returns) and ``drain_s`` (reading every record).  For worker rows
-``run_s`` is spawn, world builds and delivery and ``drain_s`` the
-parent's merge of ``iter_records()``; the serial stream is lazy, so its
-``run_s`` is the world build and its ``drain_s`` the delivery.  One run
-per row cannot show a change to the merge: spawn and per-worker world
-builds spread worker runs by far more than the drain takes.  The rows go to
-``BENCH_parallel.json`` next to the repo root so perf PRs can diff them.
+worker rows time end-to-end `run_parallel_simulation` (forked workers
+writing per-slice shards) and the drain of its merged stream.  Every row
+is the best of ``REPEATS`` runs by wall-clock and splits it into
+``run_s`` (until the runner returns) and ``drain_s`` (reading every
+record).  For worker rows ``run_s`` is the fork, world builds and
+delivery and ``drain_s`` the parent's merge of ``iter_records()``; the
+serial stream is lazy, so its ``run_s`` is the world build and its
+``drain_s`` the delivery.  One run per row cannot show a change to the
+merge: worker start-up and per-worker world builds spread worker runs by
+far more than the drain takes.  The rows go to ``BENCH_parallel.json``
+next to the repo root so perf PRs can diff them.
 
 The speedup assertion only arms on runners with >= 4 cores: on a 1-core
-box the parallel path is pure overhead (process spawn, world rebuilt per
+box the parallel path is pure overhead (process start, world rebuilt per
 worker, shard round-trip) and a wall-clock ratio proves nothing.  The
 determinism property is what CI asserts everywhere; scaling is asserted
 where the hardware can express it.
@@ -80,7 +81,7 @@ def timings():
               f"{row['elapsed_s']:.2f}s (run {row['run_s']:.2f}s, "
               f"drain {row['drain_s']:.2f}s)")
     # On a small runner (< 4 cores) the 4-worker wall-clock ratio is pure
-    # spawn/merge overhead, not a scaling measurement: record it as
+    # start-up/merge overhead, not a scaling measurement: record it as
     # unarmed rather than checking in a misleading sub-1.0 number.
     if _CORES >= 4:
         speedup_4w = round(rows["serial"]["elapsed_s"] / rows[4]["elapsed_s"], 3)

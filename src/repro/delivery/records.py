@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -279,6 +280,11 @@ def _decoded_fields(data: dict) -> tuple:
 _START_KEY = ',"start_time":'
 _RESULTS_KEY = ',"delivery_result":'
 _LATENCY_KEY = ',"delivery_latency":'
+# A results array whose first result opens with a 2xx reply code and its
+# separator (repro.smtp.codes.parse_reply_code): the first attempt was
+# accepted, so the email did not bounce.  Any other array, leading
+# whitespace, escapes and non-ASCII digits included, takes the parse.
+_FIRST_ACCEPTED = re.compile(r'\["2[0-9][0-9][ -]')
 
 _set_class = object.__dict__["__class__"].__set__
 _set_start = DeliveryRecord.start_time.__set__
@@ -291,10 +297,11 @@ def line_record(line: str) -> DeliveryRecord:
     :meth:`DeliveryRecord.to_json` wrote.
 
     Only ``start_time`` is read now.  Until a caller reads another field,
-    ``to_json()`` returns ``line`` and ``bounce_degree`` parses just the
-    ``delivery_result`` array; the first read or assignment of another
-    field decodes the line through the decoder ``from_json`` uses.  A
-    line with no readable ``start_time`` raises ``ValueError``.
+    ``to_json()`` returns ``line`` and ``bounce_degree`` reads the first
+    reply code of the ``delivery_result`` array, or parses just that
+    array; the first read or assignment of another field decodes the
+    line through the decoder ``from_json`` uses.  A line with no
+    readable ``start_time`` raises ``ValueError``.
     """
     try:
         at = line.index(_START_KEY) + len(_START_KEY)
@@ -349,6 +356,8 @@ class _LineRecord(DeliveryRecord):
     def bounce_degree(self) -> BounceDegree:
         line = _line_of(self)
         at = line.index(_RESULTS_KEY) + len(_RESULTS_KEY)
+        if _FIRST_ACCEPTED.match(line, at):
+            return BounceDegree.NON_BOUNCED
         return _degree(json.loads(line[at:line.index(_LATENCY_KEY, at)]))
 
     def _decode(self) -> DeliveryRecord:

@@ -16,10 +16,11 @@ to inject at named hook points inside the storage and parallel runtimes:
 
 Plans are installed process-wide via :func:`install_plan`, which also
 exports the plan through the ``REPRO_FAULTS`` environment variable so
-spawn-context worker processes inherit it.  Everything is deterministic: a
-spec fires on an exact write ordinal or slice key, and the corruption
-byte offset is a pure function of the plan seed and the victim file, so
-a chaos test replays the identical failure every run.
+worker processes find it in the environment they inherit.  Everything
+is deterministic: a spec fires on an exact write ordinal or slice key,
+and the corruption byte offset is a pure function of the plan seed and
+the victim file, so a chaos test replays the identical failure every
+run.
 
 The hooks are wired into :class:`repro.stream.sink.ShardWriter`
 (``on_shard_write`` before each record, ``on_shard_close`` after a shard

@@ -6,9 +6,8 @@ The lifecycle of :func:`run_parallel_simulation`:
 1. :func:`repro.parallel.partition.plan_slices` fixes the slice plan (a
    pure function of the config — never of the worker count).
 2. :func:`repro.parallel.partition.assign_slices` deals the slices that
-   are not done yet to up to ``N`` worker processes (``spawn`` context:
-   everything crossing the boundary is pickled, nothing is inherited by
-   accident).
+   are not done yet to up to ``N`` worker processes, forked from the
+   parent (:func:`run_workers`).
 3. Each worker runs its slices serially and writes one checksummed shard
    directory per slice (:mod:`repro.parallel.worker`).
 4. The parent k-way merges the slice directories **in slice-plan order**
@@ -101,6 +100,7 @@ class ParallelSimulation:
     """
 
     config: SimulationConfig
+    #: Worker processes started (0 when a resume reused every slice).
     workers: int
     #: The slices whose shard directories make up the output, in
     #: slice-plan order (slices already done before the run are left out).
@@ -308,7 +308,7 @@ def run_parallel_simulation(
 
     return ParallelSimulation(
         config=config,
-        workers=max(len(buckets), 1),
+        workers=len(buckets),
         slices=active,
         shard_root=root,
         worker_results=results,
@@ -346,8 +346,16 @@ def run_workers(
     root: Path,
     timeout: float | None = None,
 ) -> list:
-    """Run ``target(*worker_args[i])`` in spawned worker process ``i``
-    and return the workers' result files, decoded, in worker-index order.
+    """Run ``target(*worker_args[i])`` in worker process ``i`` and
+    return the workers' result files, decoded, in worker-index order.
+
+    Workers are forked: each starts with the modules, and the memory,
+    its parent holds, so it imports nothing the parent already imported.
+    Call this from a process with no other live threads (``os.fork``'s
+    own rule: a lock another thread holds at the fork stays held in the
+    child).  A worker builds what it works on from its arguments, and
+    :func:`repro.parallel.worker.apply_modes` resets the telemetry it
+    inherits.
 
     ``target`` keeps the protocol of :mod:`repro.parallel.worker`: worker
     ``i`` leaves ``root/worker-NN.json`` (:func:`finish_worker`) or
@@ -357,7 +365,7 @@ def run_workers(
     failed ``start()``, a worker error, crash or timeout, or a missing
     result file — terminates every worker before re-raising.
     """
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     procs: list = []
     try:
         for i, args in enumerate(worker_args):

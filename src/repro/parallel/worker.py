@@ -77,18 +77,29 @@ def worker_options(until_day: int) -> dict:
 
 
 def apply_modes(options: dict) -> None:
-    """Worker side: switch on telemetry and switch off the accelerations
-    as the parent's options say.  Runs before the world is built, because
-    instrumented objects read the telemetry flag at construction."""
+    """Worker side: start from empty telemetry, switch it on and switch
+    off the accelerations as the parent's options say.  Runs before the
+    world is built, because instrumented objects read the telemetry flag
+    at construction.
+
+    A forked worker inherits the parent's metrics registry and stage
+    profiler, so it replaces both: its snapshot holds only its own work.
+    The module-level memos then rebind their counters
+    (:func:`repro.core.fastpath.reset`), as the CLI does after switching
+    telemetry on."""
     from repro.core import fastpath
     from repro.obs import metrics as obs_metrics
+    from repro.obs import profile as obs_profile
 
+    obs_metrics.reset()
+    obs_profile.reset()
     if options["metrics"]:
         obs_metrics.enable()
     if not options["fastpath"]:
         fastpath.disable()
     if not options["columnar"]:
         fastpath.disable_columnar()
+    fastpath.reset()
 
 
 def check_modes(options: dict, results: list[dict], labels: list[str]) -> None:

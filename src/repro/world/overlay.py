@@ -5,8 +5,8 @@ A scenario is a tuple of frozen, picklable, JSON-able *ops* stored in
 the config — instead of mutating a built world imperatively — is what
 preserves every execution-parity guarantee for free:
 
-* parallel workers rebuild their world from the pickled config alone, so
-  the ops replay identically in every process;
+* parallel workers rebuild their world from the config alone, so the
+  ops replay identically in every process;
 * ``config_digest`` hashes ``asdict(config)``, so two runs differ in
   fingerprint exactly when their scenarios differ (resume/checkpoint
   safety);

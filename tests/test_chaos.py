@@ -7,7 +7,7 @@ torn manifest — and then asserts the load-bearing property of the
 robustness layer: a resumed run re-executes only the damaged slices and
 its merged stream is byte-identical to an uninterrupted serial run.
 
-Fault plans travel to spawn-context workers via the environment
+Fault plans travel to workers through the environment they inherit
 (:mod:`repro.faults`), so every test clears the plan before resuming —
 otherwise the fault would simply fire again.
 """
@@ -201,6 +201,7 @@ class TestResumeSemantics:
         root = tmp_path / "slices"
         run_parallel_simulation(SMALL, workers=2, shard_root=root)
         run = _resume(root, 2)
+        assert run.workers == 0
         assert run.worker_results == []
         assert run.resumed_slices == [s.key for s in run.slices]
         assert not run.rerun_slices

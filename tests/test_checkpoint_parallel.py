@@ -137,8 +137,9 @@ class TestParallelSegmentLifecycle:
 
     def test_failed_start_stops_started_workers(self, monkeypatch, tmp_path):
         # Starting worker 1 fails while worker 0 runs: the failure guard
-        # must stop worker 0 and remove the owned shard root.
-        import multiprocessing.context
+        # must stop worker 0 and remove the owned shard root.  The patch
+        # sits on the base class, so it fires whatever the start method.
+        import multiprocessing.process
         import tempfile
 
         from repro import faults
@@ -147,7 +148,7 @@ class TestParallelSegmentLifecycle:
         monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
             kind="hang", site="slice-start", match="/")]).to_json())
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        real_start = multiprocessing.context.SpawnProcess.start
+        real_start = multiprocessing.process.BaseProcess.start
         started = []
 
         def start(self):
@@ -156,7 +157,7 @@ class TestParallelSegmentLifecycle:
             started.append(self)
             real_start(self)
 
-        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         try:
             with pytest.raises(OSError, match="injected start failure"):
                 run_parallel_simulation(_config(), 2, until_day=CUT)

@@ -2,9 +2,10 @@
 
 The harness is only useful if it is *boringly* deterministic: a spec
 fires on an exact write ordinal, a corruption flips the same byte every
-run, and a plan survives the env-var round trip to a spawn-context
-worker unchanged.  These tests pin that down; the end-to-end behaviour
-of injected faults lives in test_chaos.py.
+run, and a plan survives the env-var round trip to a worker, which
+reads it from the environment it inherits, unchanged.  These tests pin
+that down; the end-to-end behaviour of injected faults lives in
+test_chaos.py.
 """
 
 import pytest

@@ -1,13 +1,12 @@
-"""What a simulation worker imports.
+"""What a simulation process imports.
 
-A spawned worker imports the modules its entry point needs and, because
-``spawn`` re-imports the parent's main module, the CLI too under
-``repro simulate --workers N``.  Neither may drag in the classifier and
-monitoring stack or numpy: ``repro.core``, ``repro.stream`` and
-``repro.checkpoint`` resolve those exports on first use, the CLI
-imports its analyses inside the commands that run them, the columnar
-engine is plain Python, and the analyses load the EBRC only when a
-caller builds one.
+A worker is forked from its parent, so under ``repro simulate
+--workers N`` it holds the CLI's modules plus those its entry point
+imports.  Neither may drag in the classifier and monitoring stack or
+numpy: ``repro.core``, ``repro.stream`` and ``repro.checkpoint``
+resolve those exports on first use, the CLI imports its analyses
+inside the commands that run them, the columnar engine is plain
+Python, and the analyses load the EBRC only when a caller builds one.
 """
 
 import ast

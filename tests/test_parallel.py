@@ -317,13 +317,57 @@ class TestWorkerTelemetry:
         assert serial
         assert serial == parallel
 
+    def test_worker_memo_lookups_are_counted(self):
+        """The module-level memos count their lookups in workers too.
+        Every cache the serial run looks up is looked up by 2 workers,
+        and the parse memos, which see one lookup per parse whatever is
+        cached above them, count the serial totals."""
+        from repro.core import fastpath
+        from repro.obs import metrics as obs_metrics
+
+        def lookups():
+            totals: dict[str, float] = {}
+            for family in obs_metrics.get_registry().snapshot():
+                if family["name"] == "repro_fastpath_cache_events_total":
+                    for key, value in family["series"].items():
+                        name = key.rsplit("-", 1)[0]
+                        totals[name] = totals.get(name, 0) + value
+            return totals
+
+        config = SimulationConfig(scale=0.03, seed=9)
+        parse_memos = ("spf-parse", "dkim-parse", "dmarc-parse")
+        obs_metrics.enable()
+        try:
+            obs_metrics.reset()
+            fastpath.reset()
+            for _ in iter_simulation(config):
+                pass
+            serial = lookups()
+            obs_metrics.reset()
+            fastpath.reset()
+            with run_parallel_simulation(config, workers=2):
+                pass
+            parallel = lookups()
+        finally:
+            obs_metrics.disable()
+            obs_metrics.reset()
+            fastpath.reset()
+        used = {name for name, n in serial.items() if n}
+        assert set(parse_memos) <= used
+        assert {name for name in used if parallel.get(name)} == used
+        assert {m: parallel[m] for m in parse_memos} == {
+            m: serial[m] for m in parse_memos
+        }
+
 
 # -- pickle safety ------------------------------------------------------------------
 
 
 class TestPickleSafety:
-    """Everything shipped across the process boundary must survive
-    pickling (the spawn context pickles all worker args)."""
+    """Worker arguments and records survive a pickle round trip.  A
+    forked worker gets its arguments without pickling, but the protocol
+    keeps them plain, picklable data, so it holds under any start
+    method."""
 
     def test_config_round_trips(self):
         config = SimulationConfig(scale=0.25, seed=99, proxy_policy="sticky")

@@ -17,7 +17,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.delivery.records import AttemptRecord, DeliveryRecord, line_record
 
@@ -284,3 +284,37 @@ class TestLineBackedRecord:
             backed = line_record(record.to_json())
             assert backed.bounce_degree == record.bounce_degree
             assert backed == record
+
+
+#: Results shaped like reply lines: optional leading whitespace, up to
+#: four digits (ASCII or not, or a letter O typed for a zero), a
+#: separator or none, then any text.
+_digits = st.lists(
+    st.sampled_from(["2", "2", "5", "0", "9", "O", "٢", "２"]), max_size=4
+)
+_reply_like = st.builds(
+    lambda lead, digits, sep, tail: lead + "".join(digits) + sep + tail,
+    st.sampled_from(["", " ", "\t", "\u3000"]),
+    _digits,
+    st.sampled_from(["", " ", "-", "x", '"', "\\", "\n"]),
+    _text,
+)
+_results = st.one_of(st.sampled_from(["", "200", "250 OK", "250-OK"]), _reply_like, _text)
+
+
+class TestLineDegree:
+    @given(st.lists(_results, min_size=1, max_size=4))
+    @example(["250 OK"])
+    @example(["200"])
+    @example(["", "250 OK"])
+    @example([" 250 OK"])
+    @example(["\"250 OK"])
+    @example(["２５０ OK", "451 later"])
+    @example(["2O0 OK", "550 no"])
+    @settings(max_examples=600, deadline=None)
+    def test_degree_of_the_line_is_the_records(self, results):
+        record = DeliveryRecord("a@s.cn", "b@r.com", 5.0, 5.5, "Normal", [
+            AttemptRecord(5.0 + i, "10.0.0.1", "10.0.0.2", result, 5)
+            for i, result in enumerate(results)
+        ])
+        assert line_record(record.to_json()).bounce_degree == record.bounce_degree
