@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analytics.suite import TableSuite, clock_from_ts
+from repro.analytics.suite import TableSuite
 from repro.stream.sink import ShardReader
 from repro.util.clock import SimClock
 
@@ -53,7 +53,7 @@ def _label(units: list[tuple[str, str]]) -> str:
 def _report_worker(
     worker_index: int,
     units: list[tuple[str, str]],
-    clock_ts: tuple[float, float],
+    clock: SimClock,
     root: str,
 ) -> None:
     """Process entry point: fold ``units`` into a suite and write its
@@ -61,7 +61,7 @@ def _report_worker(
     from repro.parallel.worker import fail_worker, finish_worker
 
     try:
-        suite = TableSuite(clock_from_ts(*clock_ts))
+        suite = TableSuite(clock)
         _observe_units(suite, units)
         finish_worker(root, worker_index, suite.snapshot())
     except BaseException:
@@ -85,11 +85,10 @@ def suite_from_shards(
 
     workers = min(workers, len(units))
     shares = [units[i::workers] for i in range(workers)]
-    clock_ts = (clock.start_ts, clock.end_ts)
     with tempfile.TemporaryDirectory(prefix="repro-parallel-") as root:
         snapshots = run_workers(
             _report_worker,
-            [(i, share, clock_ts, root) for i, share in enumerate(shares)],
+            [(i, share, clock, root) for i, share in enumerate(shares)],
             [_label(share) for share in shares],
             Path(root),
         )

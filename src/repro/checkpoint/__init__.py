@@ -44,9 +44,10 @@ per-bounce-type/per-table deltas between two runs.
 
 import importlib
 
-#: Every export resolves on first use (PEP 562), so a worker restoring a
-#: checkpoint through :mod:`repro.checkpoint.store` never imports the
-#: analyses behind ``diff`` and ``interventions``.
+#: Every export resolves on first use (PEP 562), so importing
+#: :mod:`repro.checkpoint.store`, all that loading or saving a checkpoint
+#: needs, does not import ``diff`` and ``interventions`` or the analyses
+#: behind them.
 _LAZY = {
     "CHECKPOINT_VERSION": "repro.checkpoint.store",
     "Checkpoint": "repro.checkpoint.store",

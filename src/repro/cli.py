@@ -291,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify NDR lines (EBRC)")
     p.add_argument("dataset", nargs="?", default=None,
-                   help="training corpus (saved delivery log); optional "
-                        "with --artifact")
+                   help="training corpus (delivery log: JSONL file or "
+                        "shard directory); optional with --artifact")
     p.add_argument("lines", nargs="?", default=None,
                    help="file of NDR lines to classify, '-' = stdin")
     p.add_argument("--artifact", default=None, metavar="PATH",
@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_quiet(p)
 
     p = sub.add_parser("explain", help="show the SMTP dialogue of one email")
-    p.add_argument("dataset")
+    p.add_argument("dataset", help="delivery log: JSONL file or shard directory")
     p.add_argument("--index", type=int, default=None,
                    help="record index (default: first bounced record)")
     _add_quiet(p)
@@ -903,8 +903,9 @@ def _cmd_classify(args) -> int:
                   file=sys.stderr)
             return 2
         from repro.analysis.label import EBRCLabeler
+        from repro.stream.sink import iter_delivery_log
 
-        dataset = DeliveryDataset.read_jsonl(dataset_path)
+        dataset = DeliveryDataset(list(iter_delivery_log(dataset_path)))
         corpus = dataset.ndr_messages()
         if not corpus:
             print("dataset has no NDR messages to train on", file=sys.stderr)
@@ -1012,8 +1013,9 @@ def _cmd_loadtest(args) -> int:
 
 def _cmd_explain(args) -> int:
     from repro.smtp.session import transcript_for_attempt
+    from repro.stream.sink import iter_delivery_log
 
-    dataset = DeliveryDataset.read_jsonl(args.dataset)
+    dataset = DeliveryDataset(list(iter_delivery_log(args.dataset)))
     if args.index is None:
         index = next((i for i, r in enumerate(dataset) if r.bounced), 0)
     else:

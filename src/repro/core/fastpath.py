@@ -267,10 +267,6 @@ _FUSED_MASK = re.compile(
 _mask_memo = register(LruMemo("mask", pure=True))
 
 
-def _fused_mask(message: str) -> str:
-    return _FUSED_MASK.sub(_WILDCARD, message)
-
-
 def mask_message_fast(message: str) -> str:
     """Memoised single-pass equivalent of the drain masking cascade."""
     memo = _mask_memo

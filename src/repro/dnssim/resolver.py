@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core import fastpath
 from repro.dnssim.records import RecordType, ResolveResult, ResolveStatus
 from repro.dnssim.zone import Zone
@@ -318,16 +316,6 @@ class Resolver:
             state.zone,
             state.token,
         )
-
-    def mx_state_bulk(
-        self, domains: "Iterable[str]", t: float
-    ) -> dict[
-        str,
-        tuple[bool, bool, bool, str | None, bool, float, float, Zone | None, object],
-    ]:
-        """:meth:`mx_state_span` over many domains at once."""
-        span = self.mx_state_span
-        return {domain: span(domain, t) for domain in domains}
 
     def note_query(self, rtype: RecordType, status: "ResolveStatus") -> None:
         """Count a query answered by an external replayer.

@@ -1,7 +1,7 @@
 """Deterministic fault injection for chaos testing.
 
-A :class:`FaultPlan` is a small, JSON-serialisable description of faults
-to inject at named hook points inside the storage and parallel runtimes:
+A :class:`FaultPlan` is a small, frozen description of faults to inject
+at named hook points inside the storage and parallel runtimes:
 
 * ``oserror`` — raise :class:`InjectedDiskFull` (an ``OSError`` with
   ``ENOSPC``) on the Nth shard write, simulating a full disk.
@@ -14,9 +14,9 @@ to inject at named hook points inside the storage and parallel runtimes:
   (and hashed), simulating silent bit rot the manifest checksum must
   catch.
 
-Plans are installed process-wide via :func:`install_plan`, which also
-exports the plan through the ``REPRO_FAULTS`` environment variable so
-worker processes find it in the environment they inherit.  Everything
+Plans are installed process-wide via :func:`install_plan`, which keeps
+the plan in a module global; worker processes are forked, so a plan
+installed in the parent is the one every worker inherits.  Everything
 is deterministic: a spec fires on an exact write ordinal or slice key,
 and the corruption byte offset is a pure function of the plan seed and
 the victim file, so a chaos test replays the identical failure every
@@ -27,7 +27,7 @@ The hooks are wired into :class:`repro.stream.sink.ShardWriter`
 is finalised) and :func:`repro.parallel.worker.run_worker`, the entry
 point of every simulation worker, full run or segment
 (``on_slice_start`` before each slice).  With no plan installed the
-hooks cost one cached ``None`` check.
+hooks cost one ``None`` check.
 
 This module must stay dependency-free and must not import the runtimes
 it injects into (they import it).
@@ -37,14 +37,10 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-#: Environment variable carrying the installed plan to worker processes.
-ENV_VAR = "REPRO_FAULTS"
 
 KINDS = ("oserror", "raise", "crash", "hang", "corrupt")
 SITES = ("shard-write", "slice-start")
@@ -90,25 +86,6 @@ class FaultSpec:
         if self.at_write < 1:
             raise ValueError("at_write is 1-based and must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "match": self.match,
-            "site": self.site,
-            "at_write": self.at_write,
-            "hang_s": self.hang_s,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FaultSpec":
-        return cls(
-            kind=data["kind"],
-            match=data.get("match", ""),
-            site=data.get("site", "shard-write"),
-            at_write=int(data.get("at_write", 1)),
-            hang_s=float(data.get("hang_s", 3600.0)),
-        )
-
     def matches(self, subject: str) -> bool:
         return not self.match or self.match in subject
 
@@ -121,23 +98,8 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Accept any iterable of specs; store a tuple (hashable, picklable).
+        # Accept any iterable of specs; store a tuple (hashable).
         object.__setattr__(self, "specs", tuple(self.specs))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"seed": self.seed, "specs": [s.to_json_dict() for s in self.specs]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        data = json.loads(text)
-        return cls(
-            specs=tuple(
-                FaultSpec.from_json_dict(s) for s in data.get("specs", [])
-            ),
-            seed=int(data.get("seed", 0)),
-        )
 
     # -- hook points ---------------------------------------------------------------
 
@@ -195,36 +157,25 @@ def corrupt_one_byte(path: str | Path, seed: int = 0) -> int | None:
 
 # -- plan installation ---------------------------------------------------------------
 
-#: Cache of the last parsed env value, so hot-path callers pay one string
-#: comparison per lookup instead of a JSON parse.
-_CACHED_RAW: str | None = None
-_CACHED_PLAN: FaultPlan | None = None
+_PLAN: FaultPlan | None = None
 
 
 def install_plan(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan`` process-wide and export it to (future) worker
-    processes via the environment."""
-    os.environ[ENV_VAR] = plan.to_json()
+    """Install ``plan`` process-wide; worker processes forked afterwards
+    inherit it."""
+    global _PLAN
+    _PLAN = plan
     return plan
 
 
 def clear_plan() -> None:
     """Remove any installed plan (idempotent)."""
-    global _CACHED_RAW, _CACHED_PLAN
-    os.environ.pop(ENV_VAR, None)
-    _CACHED_RAW = None
-    _CACHED_PLAN = None
+    global _PLAN
+    _PLAN = None
 
 
 def active_plan() -> FaultPlan | None:
-    """The installed plan, or ``None``.  Hook sites cache this at
+    """The installed plan, or ``None``.  Hook sites read this at
     construction/startup, so installing a plan mid-run only affects
     objects built afterwards."""
-    global _CACHED_RAW, _CACHED_PLAN
-    raw = os.environ.get(ENV_VAR)
-    if not raw:
-        return None
-    if raw != _CACHED_RAW:
-        _CACHED_PLAN = FaultPlan.from_json(raw)
-        _CACHED_RAW = raw
-    return _CACHED_PLAN
+    return _PLAN

@@ -22,7 +22,6 @@ from repro.parallel.errors import (
     ResumeError,
     SliceExecutionError,
     WorkerCrashError,
-    WorkerModeError,
 )
 from repro.parallel.partition import (
     SimSlice,
@@ -39,7 +38,6 @@ __all__ = [
     "SimSlice",
     "SliceExecutionError",
     "WorkerCrashError",
-    "WorkerModeError",
     "assign_slices",
     "count_attacker_campaigns",
     "iter_parallel_simulation",

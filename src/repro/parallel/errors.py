@@ -27,11 +27,6 @@ class WorkerCrashError(ParallelExecutionError):
     interpreter abort)."""
 
 
-class WorkerModeError(ParallelExecutionError):
-    """A worker ran with other fastpath/columnar switches than the parent
-    requested, so a differential run would not test what it claims."""
-
-
 class ParallelTimeoutError(ParallelExecutionError):
     """The run exceeded its deadline; pending workers were terminated."""
 

@@ -21,9 +21,9 @@ depend on which process runs it or in what order.
 
 ``plan_slices`` is computable *without building the world* (day count
 from the clock, campaign count from the builder's sizing formula), so the
-parent process can plan and dispatch immediately; workers build their own
-world copy.  ``tests/test_parallel.py`` asserts the plan agrees with a
-built world.
+parent process can plan and dispatch immediately; the workers of a config
+source build their own world copy.  ``tests/test_parallel.py`` asserts the
+plan agrees with a built world.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ TRAFFIC_SLICE_DAYS = 56
 class SimSlice:
     """One independently executable partition of a simulation.
 
-    Picklable by construction — this (with the config) is everything a
-    worker process receives.
+    Plain, picklable data: with its progress entry, the slice is what a
+    worker process is dealt.
     """
 
     kind: str  #: "traffic" | "campaign" | "extra"

@@ -55,7 +55,7 @@ def config_digest(config: SimulationConfig) -> str:
 
 
 def slice_fingerprint(
-    config: SimulationConfig, sim_slice: SimSlice, options: dict, n_delivered: int
+    config: SimulationConfig, sim_slice: SimSlice, until_day: int, n_delivered: int
 ) -> str:
     """The identity a slice directory's manifest must carry to be
     reusable: config hash + slice key + the segment it holds (the cut
@@ -67,7 +67,7 @@ def slice_fingerprint(
         "version": FINGERPRINT_VERSION,
         "config": config_digest(config),
         "slice": sim_slice.key,
-        "until_day": int(options["until_day"]),
+        "until_day": int(until_day),
         "n_delivered": int(n_delivered),
     }
     if sim_slice.specs is not None:

@@ -22,9 +22,9 @@ The lifecycle of :func:`run_parallel_simulation`:
 
 A run is a segment of simulated time: days ``[from, until_day)`` of
 every slice, from fresh progress (a config source) or from a
-checkpoint's progress (a checkpoint source, whose directory the workers
-restore).  An uninterrupted run is the segment ``[0, n_days)`` from a
-config.
+checkpoint's progress (a checkpoint source, whose restored world the
+forked workers inherit).  An uninterrupted run is the segment
+``[0, n_days)`` from a config.
 
 Supervision (:func:`run_workers`, shared with the report workers of
 :mod:`repro.analytics.parallel`): a worker that raises writes an error
@@ -33,9 +33,7 @@ file naming what it held, and the parent raises
 (signal, OOM) raises :class:`WorkerCrashError` naming what it held; a
 run that exceeds ``timeout`` raises :class:`ParallelTimeoutError`
 naming the unfinished workers.  In every case all remaining workers are
-terminated first — no hung pools.  A simulation worker whose echoed
-mode switches (fastpath, columnar, telemetry) differ from the parent's
-raises :class:`WorkerModeError`.
+terminated first — no hung pools.
 
 Resume (``resume=True`` with a persistent ``shard_root``) turns a killed
 run into a warm start: slice directories with a final, fingerprint-
@@ -55,6 +53,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.delivery.records import DeliveryRecord
+from repro.obs import metrics as obs_metrics
 from repro.parallel.errors import (
     ParallelTimeoutError,
     ResumeError,
@@ -62,14 +61,7 @@ from repro.parallel.errors import (
     WorkerCrashError,
 )
 from repro.parallel.partition import SimSlice, assign_slices, plan_slices
-from repro.parallel.worker import (
-    check_modes,
-    error_path,
-    result_path,
-    run_worker,
-    slice_dir,
-    worker_options,
-)
+from repro.parallel.worker import error_path, result_path, run_worker, slice_dir
 from repro.stream.runner import (
     fresh_progress,
     materialize_extra_workloads,
@@ -177,11 +169,11 @@ def run_parallel_simulation(
     ``source`` is a :class:`SimulationConfig` — the run starts from
     fresh progress and workers build the world — or a loaded
     :class:`repro.checkpoint.Checkpoint` — the run starts from its
-    progress and workers restore its directory, so a branched world runs
-    with its interventions.  ``until_day`` defaults to the end of the
-    window.  Slices already done get no worker and no shard directory;
-    :attr:`ParallelSimulation.progress` holds every slice's entry
-    afterwards.
+    progress and the forked workers run its restored world, so a
+    branched world runs with its interventions.  ``until_day`` defaults
+    to the end of the window.  Slices already done get no worker and no
+    shard directory; :attr:`ParallelSimulation.progress` holds every
+    slice's entry afterwards.
 
     ``shard_root`` keeps the per-slice shard directories for later reads;
     when omitted, a temporary directory is created and owned by the
@@ -241,12 +233,10 @@ def run_parallel_simulation(
         tempfile.mkdtemp(prefix="repro-parallel-") if owns else shard_root
     )
     root.mkdir(parents=True, exist_ok=True)
-    options = worker_options(until_day)
 
     to_run = active
     reused: list[tuple[SimSlice, int]] = []  # (slice, on-disk record count)
     if resume:
-        from repro.obs import metrics as obs_metrics
         from repro.parallel.resume import (
             clean_stale_run_files,
             load_completed_slice,
@@ -258,7 +248,7 @@ def run_parallel_simulation(
             directory = slice_dir(root, s.index)
             manifest = load_completed_slice(
                 directory,
-                slice_fingerprint(config, s, options, progress[s.key]["n_delivered"]),
+                slice_fingerprint(config, s, until_day, progress[s.key]["n_delivered"]),
             )
             if manifest is not None:
                 reused.append((s, manifest.n_records))
@@ -278,25 +268,24 @@ def run_parallel_simulation(
 
     buckets = assign_slices(to_run, max(workers, 1)) if to_run else []
     labels = ["slices: " + ", ".join(s.key for s in bucket) for bucket in buckets]
-    worker_source = config if fresh else str(source.path)
+    worker_source = config if fresh else world
     try:
         results = run_workers(
             run_worker,
             [
                 (i, worker_source, [(s, progress[s.key]) for s in bucket],
-                 str(root), options)
+                 str(root), until_day)
                 for i, bucket in enumerate(buckets)
             ],
             labels,
             root,
             timeout,
         )
-        check_modes(options, results, labels)
     except BaseException:
         if owns:
             shutil.rmtree(root, ignore_errors=True)
         raise
-    if options["metrics"]:
+    if obs_metrics.enabled():
         from repro.obs.export import merge_snapshot
 
         for result in results:
@@ -350,12 +339,10 @@ def run_workers(
     return the workers' result files, decoded, in worker-index order.
 
     Workers are forked: each starts with the modules, and the memory,
-    its parent holds, so it imports nothing the parent already imported.
-    Call this from a process with no other live threads (``os.fork``'s
-    own rule: a lock another thread holds at the fork stays held in the
-    child).  A worker builds what it works on from its arguments, and
-    :func:`repro.parallel.worker.apply_modes` resets the telemetry it
-    inherits.
+    its parent holds, so it imports nothing the parent already imported
+    and runs with the parent's mode switches and fault plan.  Call this
+    from a process with no other live threads (``os.fork``'s own rule: a
+    lock another thread holds at the fork stays held in the child).
 
     ``target`` keeps the protocol of :mod:`repro.parallel.worker`: worker
     ``i`` leaves ``root/worker-NN.json`` (:func:`finish_worker`) or

@@ -1,12 +1,15 @@
 """Worker-process side of the parallel runtime.
 
-A simulation worker receives ``(worker_index, source, bucket, shard_root,
-options)`` — all picklable by construction.  ``source`` is the config,
-or the directory of a checkpoint to restore (a branched world cannot be
-rebuilt from its config); ``bucket`` pairs each assigned slice with its
-progress entry; ``options`` comes from :func:`worker_options`.  The
-worker builds or restores its own copy of the world and runs each slice
-up to the cut through the ordinary serial machinery
+Workers are forked (:func:`repro.parallel.runner.run_workers`), so a
+worker starts as a copy of its parent: it runs with the parent's mode
+switches (fastpath, columnar, telemetry) and its installed fault plan,
+and nothing ships them.  A simulation worker receives ``(worker_index,
+source, bucket, shard_root, until_day)``.  ``source`` is the config, or
+the world a checkpoint source restored in the parent (a branched world
+cannot be rebuilt from its config); ``bucket`` pairs each assigned
+slice with its progress entry.  The worker builds its own world from a
+config, or takes the restored one it inherited, and runs each slice up
+to the cut through the ordinary serial machinery
 (:func:`repro.stream.runner.run_slice`), writing every slice's records
 into its own checksummed shard directory ``shard_root/slice-NNNN/``.
 One directory per *slice* (not per worker) is what lets the parent merge
@@ -33,11 +36,14 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from repro import faults
 from repro.parallel.partition import SimSlice
 from repro.world.config import SimulationConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.world.model import WorldModel
 
 
 def result_path(shard_root: Path, worker_index: int) -> Path:
@@ -50,71 +56,6 @@ def error_path(shard_root: Path, worker_index: int) -> Path:
 
 def slice_dir(shard_root: Path, slice_index: int) -> Path:
     return Path(shard_root) / f"slice-{slice_index:04d}"
-
-
-def current_modes() -> dict:
-    """This process's mode switches: the acceleration switches and
-    telemetry.  :func:`worker_options` adds them to a worker's options,
-    so a ``--no-cache`` / ``--no-columnar`` differential run exercises the
-    reference code in every process and ``--metrics-out`` collects from
-    every process; the worker echoes its own in its result file.  They
-    never enter a shard fingerprint: the record bytes are identical
-    either way."""
-    from repro.core import fastpath
-    from repro.obs import metrics as obs_metrics
-
-    return {
-        "fastpath": fastpath.enabled(),
-        "columnar": fastpath.columnar_enabled(),
-        "metrics": obs_metrics.enabled(),
-    }
-
-
-def worker_options(until_day: int) -> dict:
-    """Everything a worker needs besides its slices: the cut and this
-    process's modes."""
-    return {"until_day": until_day, **current_modes()}
-
-
-def apply_modes(options: dict) -> None:
-    """Worker side: start from empty telemetry, switch it on and switch
-    off the accelerations as the parent's options say.  Runs before the
-    world is built, because instrumented objects read the telemetry flag
-    at construction.
-
-    A forked worker inherits the parent's metrics registry and stage
-    profiler, so it replaces both: its snapshot holds only its own work.
-    The module-level memos then rebind their counters
-    (:func:`repro.core.fastpath.reset`), as the CLI does after switching
-    telemetry on."""
-    from repro.core import fastpath
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import profile as obs_profile
-
-    obs_metrics.reset()
-    obs_profile.reset()
-    if options["metrics"]:
-        obs_metrics.enable()
-    if not options["fastpath"]:
-        fastpath.disable()
-    if not options["columnar"]:
-        fastpath.disable_columnar()
-    fastpath.reset()
-
-
-def check_modes(options: dict, results: list[dict], labels: list[str]) -> None:
-    """Parent side: raise :class:`WorkerModeError` for the first worker
-    whose echoed switches differ from the ones ``options`` requested."""
-    from repro.parallel.errors import WorkerModeError
-
-    for i, (result, label) in enumerate(zip(results, labels)):
-        for mode in ("fastpath", "columnar", "metrics"):
-            if result.get(mode) != options[mode]:
-                raise WorkerModeError(
-                    f"worker {i} ({label}) ran with "
-                    f"{mode}={result.get(mode)!r}, requested "
-                    f"{mode}={options[mode]!r}"
-                )
 
 
 def finish_worker(shard_root: str | Path, worker_index: int, result: dict) -> NoReturn:
@@ -153,44 +94,51 @@ def fail_worker(shard_root: str | Path, worker_index: int, where: str) -> NoRetu
 
 def run_worker(
     worker_index: int,
-    source: SimulationConfig | str,
+    source: SimulationConfig | WorldModel,
     bucket: list[tuple[SimSlice, dict]],
     shard_root: str,
-    options: dict,
+    until_day: int,
 ) -> None:
     """Process entry point: run each ``(slice, progress entry)`` of
-    ``bucket`` up to the cut and write results under ``shard_root``.
+    ``bucket`` up to ``until_day`` and write results under ``shard_root``.
     Exits 0 through :func:`finish_worker` on success, 1 through
     :func:`fail_worker`.
 
-    ``source`` is the config, or a checkpoint directory to restore the
-    world from (the parent verified its deep digest once, so workers
-    skip it).  ``options`` is a :func:`worker_options` dict: the cut
-    (``until_day``) and the parent's :func:`current_modes`, which the
-    result file echoes.
+    ``source`` is the config, whose world the worker builds, or the
+    world a checkpoint source restored (and verified) in the parent,
+    which the forked worker already holds.
     """
     root = Path(shard_root)
     current: str | None = None
     try:
+        from repro.core import fastpath
         from repro.obs import export as obs_export
+        from repro.obs import metrics as obs_metrics
         from repro.obs import profile as obs_profile
         from repro.parallel.resume import slice_fingerprint
         from repro.stream.runner import run_slice
         from repro.stream.sink import ShardWriter
         from repro.util.rng import RandomSource
 
-        apply_modes(options)
+        # Start from empty telemetry: replace the metrics registry and
+        # stage profiler inherited from the parent, so this worker's
+        # snapshot holds only its own work, and rebind the module-level
+        # memos' counters to the new registry.
+        obs_metrics.reset()
+        obs_profile.reset()
+        fastpath.reset()
         fault_plan = faults.active_plan()
         t0 = time.perf_counter()
-        with obs_profile.stage("world-build"):
-            if isinstance(source, SimulationConfig):
-                from repro.world.model import build_world
+        if isinstance(source, SimulationConfig):
+            from repro.world.model import build_world
 
+            with obs_profile.stage("world-build"):
                 world = build_world(source)
-            else:
-                from repro.checkpoint.store import load_checkpoint
-
-                world = load_checkpoint(source, verify=False).world
+        else:
+            world = source
+            # Drop the parent's caches and bind the resolver and MTA
+            # counters to this worker's registry.
+            world.rebind_runtime()
         # The world lives until the worker exits: keep the collector's
         # full passes during delivery from rescanning it.
         gc.freeze()
@@ -205,11 +153,11 @@ def run_worker(
             with ShardWriter(
                 slice_dir(root, sim_slice.index),
                 fingerprint=slice_fingerprint(
-                    config, sim_slice, options, entry["n_delivered"]
+                    config, sim_slice, until_day, entry["n_delivered"]
                 ),
             ) as writer:
                 for record in run_slice(
-                    world, rng, sim_slice, entry, options["until_day"], progress
+                    world, rng, sim_slice, entry, until_day, progress
                 ):
                     writer.write(record)
             counts[sim_slice.key] = writer.n_written
@@ -220,8 +168,7 @@ def run_worker(
             "n_records": counts,
             "progress": progress,
             "elapsed_s": time.perf_counter() - t0,
-            **current_modes(),
-            "snapshot": obs_export.build_snapshot() if options["metrics"] else None,
+            "snapshot": obs_export.build_snapshot() if obs_metrics.enabled() else None,
         })
     except BaseException:
         fail_worker(root, worker_index, f"slice {current}" if current else "setup")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable
 
 from repro.core import fastpath
 from repro.delivery.proxies import ProxyFleet
@@ -257,13 +256,6 @@ class WorldModel:
             entry = self._build_status_entry(address, t)
             self._status_cache[address] = entry
         return entry.status, entry.start, entry.end
-
-    def recipient_status_bulk(
-        self, addresses: Iterable[str], t: float
-    ) -> list[RecipientStatus]:
-        """:meth:`recipient_status` over many addresses at once."""
-        span = self.recipient_status_span
-        return [span(address, t)[0] for address in addresses]
 
     def sender_dns_broken_span(
         self, domain: str, t: float

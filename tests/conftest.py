@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SimulationConfig, run_simulation
+from repro import SimulationConfig, faults, run_simulation
 from repro.analysis.label import LabeledDataset, RuleLabeler
 from repro.util.rng import RandomSource
 
@@ -47,3 +47,19 @@ def clock(world):
 @pytest.fixture()
 def rng():
     return RandomSource(1234, name="test")
+
+
+@pytest.fixture()
+def fail_hook():
+    """``fail_hook("needle:kind")`` installs a fault of ``kind`` at the
+    start of every slice whose key holds ``needle``; forked workers
+    inherit the plan.  Cleared after the test."""
+
+    def arm(value):
+        needle, mode = value.rsplit(":", 1)
+        faults.install_plan(faults.FaultPlan(
+            [faults.FaultSpec(kind=mode, site="slice-start", match=needle)]
+        ))
+
+    yield arm
+    faults.clear_plan()

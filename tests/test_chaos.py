@@ -7,7 +7,7 @@ torn manifest — and then asserts the load-bearing property of the
 robustness layer: a resumed run re-executes only the damaged slices and
 its merged stream is byte-identical to an uninterrupted serial run.
 
-Fault plans travel to workers through the environment they inherit
+Forked workers inherit the fault plan installed in the parent
 (:mod:`repro.faults`), so every test clears the plan before resuming —
 otherwise the fault would simply fire again.
 """

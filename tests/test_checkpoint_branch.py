@@ -124,8 +124,8 @@ class TestBranching:
         assert len(baseline) == len(branch)  # same specs, different outcomes
 
     def test_branch_tail_with_workers(self, arms):
-        # Workers restore the branched directory; ones that rebuilt the
-        # world from its config would yield the baseline tail instead.
+        # Workers run the branched world the parent restored; ones that
+        # rebuilt the world from its config would yield the baseline tail.
         _, branch_dir, _, branch, head_len, _ = arms
         with run_parallel_simulation(load_checkpoint(branch_dir), 2) as run:
             assert [r.to_json() for r in run.iter_records()] == branch[head_len:]

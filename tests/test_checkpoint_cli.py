@@ -44,8 +44,9 @@ class TestSegmentedSimulate:
         assert out.read_bytes() == seg2.read_bytes()
 
     def test_parallel_tail_no_cache_matches(self, chain, tmp_path):
-        # --no-cache reaches segment workers restored from the checkpoint:
-        # a worker that ran other switches would raise WorkerModeError.
+        # --no-cache with segment workers running the restored world; the
+        # switches each worker runs with are checked inside the workers
+        # by tests/test_parallel.py::TestWorkerSwitches.
         _, _, _, seg2, ckpt = chain
         out = tmp_path / "seg2-par-no-cache.jsonl"
         assert main(["simulate", "--from-checkpoint", str(ckpt), "--no-cache",

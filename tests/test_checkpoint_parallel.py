@@ -5,8 +5,8 @@ worker runs whole slices up to the day boundary, and the parent's
 ``MultiShardReader(order="time")`` merge breaks ties by slice-plan
 position exactly like the serial heap merge.  Both segments of a
 2-segment chain are exercised at every worker count: the head from the
-config, the tail from the loaded checkpoint, whose directory the workers
-restore (the same path a branched run takes).
+config, the tail from the loaded checkpoint, whose restored world the
+forked workers run (the same path a branched run takes).
 """
 
 from datetime import timedelta
@@ -111,42 +111,37 @@ class TestParallelSegmentLifecycle:
             )
         assert list(tmp_path.iterdir()) == []
 
-    def test_worker_failure_surfaces(self, monkeypatch):
-        from repro import faults
+    def test_worker_failure_surfaces(self, fail_hook):
         from repro.parallel.errors import SliceExecutionError
 
-        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
-            kind="raise", site="slice-start", match="campaign/0")]).to_json())
+        fail_hook("campaign/0:raise")
         with pytest.raises(SliceExecutionError, match="campaign/0"):
             run_parallel_simulation(_config(), 2, until_day=CUT)
 
-    def test_worker_crash_surfaces(self, monkeypatch, tmp_path):
+    def test_worker_crash_surfaces(self, monkeypatch, tmp_path, fail_hook):
         # Segment workers honour an installed fault plan: a crash at the
         # start of a slice fails the segment and leaves no owned root.
         import tempfile
 
-        from repro import faults
         from repro.parallel.errors import WorkerCrashError
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
-            kind="crash", site="slice-start", match="campaign/0")]).to_json())
+        fail_hook("campaign/0:crash")
         with pytest.raises(WorkerCrashError, match="campaign/0"):
             run_parallel_simulation(_config(), 2, until_day=CUT)
         assert list(tmp_path.glob("repro-parallel-*")) == []
 
-    def test_failed_start_stops_started_workers(self, monkeypatch, tmp_path):
+    def test_failed_start_stops_started_workers(
+        self, monkeypatch, tmp_path, fail_hook
+    ):
         # Starting worker 1 fails while worker 0 runs: the failure guard
         # must stop worker 0 and remove the owned shard root.  The patch
         # sits on the base class, so it fires whatever the start method.
         import multiprocessing.process
         import tempfile
 
-        from repro import faults
-
         # Every slice hangs, so a worker nobody stops stays alive.
-        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan([faults.FaultSpec(
-            kind="hang", site="slice-start", match="/")]).to_json())
+        fail_hook("/:hang")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         real_start = multiprocessing.process.BaseProcess.start
         started = []

@@ -182,6 +182,39 @@ class TestExplain:
         assert main(["explain", str(saved_log), "--index", "99999999"]) == 1
 
 
+class TestShardDirectoryLog:
+    """`explain` and `classify` read a shard directory as they read the
+    JSONL log of the same run."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli-logs")
+        log, shards = root / "log.jsonl", root / "shards"
+        run = ["--scale", "0.005", "--seed", "3"]
+        assert main(["--quiet", "simulate", *run, "--out", str(log)]) == 0
+        assert main(["--quiet", "stream", *run, "--out-dir", str(shards),
+                     "--shard-size", "500", "--progress-every", "0"]) == 0
+        assert len(list(shards.glob("shard-*.jsonl"))) > 1
+        return log, shards
+
+    @pytest.mark.parametrize("command, options", [
+        ("explain", []),
+        ("classify", [
+            "--message", "550 5.1.1 The email account that you tried to reach does not exist",
+            "--message", "421 4.7.0 try again later",
+        ]),
+    ])
+    def test_prints_what_it_prints_for_the_jsonl_log(
+        self, logs, command, options, capsys
+    ):
+        printed = []
+        for path in logs:
+            assert main([command, str(path), *options]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0]
+        assert printed[1] == printed[0]
+
+
 class TestSquat:
     def test_squat_runs(self, capsys):
         assert main(["squat", "--scale", "0.03", "--seed", "3"]) == 0

@@ -2,9 +2,9 @@
 
 The harness is only useful if it is *boringly* deterministic: a spec
 fires on an exact write ordinal, a corruption flips the same byte every
-run, and a plan survives the env-var round trip to a worker, which
-reads it from the environment it inherits, unchanged.  These tests pin
-that down; the end-to-end behaviour of injected faults lives in
+run, and the installed plan is the one hook sites find (forked workers
+inherit it with the rest of the parent's memory).  These tests pin that
+down; the end-to-end behaviour of injected faults lives in
 test_chaos.py.
 """
 
@@ -29,10 +29,6 @@ def no_leftover_plan():
 
 
 class TestSpec:
-    def test_round_trips_through_json(self):
-        spec = FaultSpec(kind="oserror", match="slice-0003", at_write=17)
-        assert FaultSpec.from_json_dict(spec.to_json_dict()) == spec
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="fault kind"):
             FaultSpec(kind="explode")
@@ -51,16 +47,6 @@ class TestSpec:
 
 
 class TestPlan:
-    def test_round_trips_through_json(self):
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(kind="crash", site="slice-start", match="campaign"),
-                FaultSpec(kind="corrupt", match="slice-0001"),
-            ),
-            seed=42,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
     def test_install_round_trips_to_active(self):
         plan = faults.install_plan(
             FaultPlan(specs=(FaultSpec(kind="raise", at_write=3),))

@@ -124,7 +124,7 @@ def test_simulation_leaves_tracing_unloaded(tmp_path):
 
 
 def test_checkpoint_store_leaves_the_analyses_unloaded():
-    """A worker restoring a checkpoint imports ``repro.checkpoint.store``
+    """Loading or saving a checkpoint imports ``repro.checkpoint.store``
     and so the package, whose exports resolve on first use."""
     loaded = _run_fresh(
         "import sys\nimport repro.checkpoint.store\n"

@@ -19,18 +19,31 @@ from repro.parallel import (
     SimSlice,
     SliceExecutionError,
     WorkerCrashError,
-    WorkerModeError,
     assign_slices,
     count_attacker_campaigns,
     iter_parallel_simulation,
     plan_slices,
     run_parallel_simulation,
 )
-from repro import faults
 from repro.stream.runner import iter_simulation
 from repro.world.config import SimulationConfig
 
 SMALL = SimulationConfig(scale=0.005, seed=3)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """``SMALL`` saved at day 200 by a serial head segment."""
+    from repro.checkpoint import fresh_progress, run_segment, save_checkpoint
+    from repro.world.model import build_world
+
+    cut, path = 200, tmp_path_factory.mktemp("parallel-ckpt") / "cut"
+    world = build_world(SMALL)
+    head = run_segment(world, fresh_progress(SMALL), cut)
+    for _ in head:
+        pass
+    save_checkpoint(path, world, cut, head.finish())
+    return path
 
 
 def _lines(records):
@@ -165,18 +178,6 @@ class TestLineMerge:
 # -- failure surfacing --------------------------------------------------------------
 
 
-@pytest.fixture()
-def fail_hook():
-    def arm(value):
-        needle, mode = value.rsplit(":", 1)
-        faults.install_plan(faults.FaultPlan(
-            [faults.FaultSpec(kind=mode, site="slice-start", match=needle)]
-        ))
-
-    yield arm
-    faults.clear_plan()
-
-
 class TestFailures:
     def test_worker_exception_names_slice(self, fail_hook):
         fail_hook("campaign/0:raise")
@@ -225,27 +226,6 @@ class TestFailures:
         fail_hook("campaign/0:raise")
         before = set(os.listdir(tempfile.gettempdir()))
         with pytest.raises(SliceExecutionError):
-            run_parallel_simulation(SMALL, workers=2)
-        leaked = {
-            name
-            for name in set(os.listdir(tempfile.gettempdir())) - before
-            if name.startswith("repro-parallel-")
-        }
-        assert not leaked
-
-    def test_worker_mode_mismatch_raises_and_cleans_up(self, monkeypatch):
-        """A worker whose echoed switches differ from the request fails
-        the run; the result is doctored in the parent, where it is read."""
-        import tempfile
-
-        from repro.parallel import runner
-
-        real = runner._load_result
-        monkeypatch.setattr(
-            runner, "_load_result", lambda *args: {**real(*args), "columnar": None}
-        )
-        before = set(os.listdir(tempfile.gettempdir()))
-        with pytest.raises(WorkerModeError, match="columnar=None, requested columnar=True"):
             run_parallel_simulation(SMALL, workers=2)
         leaked = {
             name
@@ -317,6 +297,41 @@ class TestWorkerTelemetry:
         assert serial
         assert serial == parallel
 
+    def test_checkpoint_worker_metrics_merge_equals_serial(self, checkpoint):
+        """Workers of a checkpoint source run the world the parent
+        restored.  A 2-worker tail reports the serial tail's delivery,
+        DNS and receiver families, so the resolver and the MTAs count
+        into each worker's own registry, not the one inherited."""
+        from repro.checkpoint import load_checkpoint, run_segment
+        from repro.obs import metrics as obs_metrics
+
+        names = (
+            "repro_delivery_", "repro_dns_queries_total",
+            "repro_receiver_verdicts_total",
+        )
+
+        def families():
+            snap = obs_metrics.get_registry().snapshot()
+            return {f["name"]: f for f in snap if f["name"].startswith(names)}
+
+        obs_metrics.enable()
+        try:
+            obs_metrics.reset()
+            ckpt = load_checkpoint(checkpoint)
+            for _ in run_segment(ckpt.world, ckpt.progress, ckpt.world.clock.n_days):
+                pass
+            serial = families()
+            obs_metrics.reset()
+            with run_parallel_simulation(load_checkpoint(checkpoint), 2) as run:
+                for _ in run.iter_records():
+                    pass
+            parallel = families()
+        finally:
+            obs_metrics.disable()
+            obs_metrics.reset()
+        assert set(names[1:]) <= set(serial)
+        assert serial == parallel
+
     def test_worker_memo_lookups_are_counted(self):
         """The module-level memos count their lookups in workers too.
         Every cache the serial run looks up is looked up by 2 workers,
@@ -360,14 +375,71 @@ class TestWorkerTelemetry:
         }
 
 
+# -- mode switches ------------------------------------------------------------------
+
+
+class TestWorkerSwitches:
+    """Every worker runs with the parent's mode switches, which it
+    inherits at the fork.  A wrapper around ``DeliveryEngine.__init__``,
+    installed in the parent and so inherited by the workers, writes down
+    the switches each engine captured: what a worker ran with is seen
+    inside the worker, not taken from its word."""
+
+    MODES = ("default", "no-columnar", "no-cache", "metrics")
+
+    @pytest.mark.parametrize("source", ["config", "checkpoint"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_worker_engines_run_the_parents_switches(
+        self, mode, source, checkpoint, tmp_path, monkeypatch
+    ):
+        from repro.checkpoint import load_checkpoint
+        from repro.core import fastpath
+        from repro.delivery.engine import DeliveryEngine
+        from repro.obs import metrics as obs_metrics
+
+        rows = tmp_path / "engines.jsonl"
+        real_init = DeliveryEngine.__init__
+
+        def init(engine, *args, **kwargs):
+            real_init(engine, *args, **kwargs)
+            row = [os.getpid(), engine._fast, engine._batch is not None,
+                   engine._obs_on]
+            with open(rows, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(row) + "\n")
+
+        switch = {
+            "no-columnar": fastpath.disable_columnar,
+            "no-cache": fastpath.disable,
+            "metrics": obs_metrics.enable,
+        }.get(mode)
+        try:
+            if switch is not None:
+                switch()
+            parent = [fastpath.enabled(), fastpath.columnar_enabled(),
+                      obs_metrics.enabled()]
+            run_source = SMALL if source == "config" else load_checkpoint(checkpoint)
+            monkeypatch.setattr(DeliveryEngine, "__init__", init)
+            with run_parallel_simulation(run_source, workers=2):
+                pass
+        finally:
+            fastpath.enable()
+            fastpath.enable_columnar()
+            obs_metrics.disable()
+            obs_metrics.reset()
+            fastpath.reset()
+        seen = [json.loads(line) for line in rows.read_text().splitlines()]
+        pids = {row[0] for row in seen}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert [row[1:] for row in seen] == [parent] * len(seen)
+
+
 # -- pickle safety ------------------------------------------------------------------
 
 
 class TestPickleSafety:
-    """Worker arguments and records survive a pickle round trip.  A
-    forked worker gets its arguments without pickling, but the protocol
-    keeps them plain, picklable data, so it holds under any start
-    method."""
+    """Configs, slices and records survive a pickle round trip: they
+    stay plain data, although a forked worker receives its arguments
+    without pickling."""
 
     def test_config_round_trips(self):
         config = SimulationConfig(scale=0.25, seed=99, proxy_policy="sticky")
@@ -387,17 +459,6 @@ class TestPickleSafety:
         shipped = plan_slices(SMALL, n_extra=1)[-1].with_specs([spec])
         restored = pickle.loads(pickle.dumps(shipped))
         assert restored.specs == (spec,)
-
-    def test_worker_args_round_trip(self):
-        """The exact tuple Process(target=run_worker) pickles."""
-        from repro.parallel.worker import worker_options
-        from repro.stream.runner import fresh_progress
-
-        buckets = assign_slices(plan_slices(SMALL), 2)
-        progress = fresh_progress(SMALL)
-        bucket = [(s, progress[s.key]) for s in buckets[0]]
-        args = (0, SMALL, bucket, "/tmp/x", worker_options(100))
-        assert pickle.loads(pickle.dumps(args))[1] == SMALL
 
     def test_delivery_record_round_trips(self, dataset):
         from repro.delivery.records import line_record
