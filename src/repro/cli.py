@@ -486,8 +486,6 @@ def _cmd_simulate(args) -> int:
     from collections import Counter
     from pathlib import Path
 
-    from repro.analysis.degrees import DegreeBreakdown
-    from repro.analysis.report import pct
     from repro.core.taxonomy import BounceDegree
     from repro.util.clock import SimClock
 
@@ -528,16 +526,14 @@ def _cmd_simulate(args) -> int:
                 fh.write("\n")
                 degrees[record.bounce_degree] += 1
         progress = run.progress
-    breakdown = DegreeBreakdown(
-        n_emails=sum(degrees.values()),
-        n_non=degrees[BounceDegree.NON_BOUNCED],
-        n_soft=degrees[BounceDegree.SOFT_BOUNCED],
-        n_hard=degrees[BounceDegree.HARD_BOUNCED],
-    )
-    _status(f"simulated {breakdown.n_emails:,} emails, days [{from_day}, "
+    n_emails = sum(degrees.values())
+    _status(f"simulated {n_emails:,} emails, days [{from_day}, "
             f"{until}) (scale={config.scale}, seed={config.seed})")
-    _status(f"non/soft/hard: {pct(breakdown.non_fraction)} / "
-            f"{pct(breakdown.soft_fraction)} / {pct(breakdown.hard_fraction)}")
+    _status("non/soft/hard: " + " / ".join(
+        f"{100 * (degrees[degree] / n_emails if n_emails else 0.0):.2f}%"
+        for degree in (BounceDegree.NON_BOUNCED, BounceDegree.SOFT_BOUNCED,
+                       BounceDegree.HARD_BOUNCED)
+    ))
     _status(f"wrote {args.out}")
     if args.save_checkpoint:
         from repro.checkpoint import save_checkpoint

@@ -17,10 +17,12 @@ Layout:
 * :mod:`repro.serve.handlers` — the endpoint router (pure functions:
   ``(state, method, path, body) -> Response``).
 * :mod:`repro.serve.reload`   — artifact watcher for hot model reload.
+* :mod:`repro.serve.head`     — the HTTP header-block reader the daemon
+  and the load generator share.
 * :mod:`repro.serve.server`   — the threaded HTTP daemon with graceful
   drain.
-* :mod:`repro.serve.loadgen`  — closed-loop load generator and
-  ``BENCH_serve.json`` writer.
+* :mod:`repro.serve.loadgen`  — closed-loop load generator (a lean
+  HTTP/1.1 client) and ``BENCH_serve.json`` writer.
 
 See docs/SERVING.md for the endpoint reference and operational notes.
 """

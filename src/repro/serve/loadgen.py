@@ -8,11 +8,15 @@ mix the EBRC was built for — and the generator cycles that corpus into
 The loop is *closed*: each of ``concurrency`` workers keeps exactly one
 request outstanding on a persistent HTTP/1.1 connection, so offered
 load adapts to service rate instead of stampeding an overloaded server
-(the open-loop failure mode).  Backpressure is part of the protocol:
-a 429 is counted, its ``Retry-After`` honoured (capped by
-``retry_cap_s`` so tests stay fast), and the same request retried — so
-a saturation run completes with a 429 count instead of unbounded
-queueing or lost work.
+(the open-loop failure mode).  The client is a lean HTTP/1.1 one that
+reads reply heads with the daemon's own header reader.  After a
+``Connection: close`` reply the next request opens a new connection; a
+peer close or a reply it cannot frame drops the connection, and the
+request is retried on a fresh one within ``max_attempts``.
+Backpressure is part of the protocol: a 429 is counted, its
+``Retry-After`` honoured (capped by ``retry_cap_s`` so tests stay
+fast), and the same request retried — so a saturation run completes
+with a 429 count instead of unbounded queueing or lost work.
 
 Correctness is asserted, not assumed: every response is compared
 against a serial ``EBRC.classify_many`` over the identical message
@@ -25,8 +29,8 @@ sequence, computed locally from the same artifact the server loaded.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -34,6 +38,8 @@ from pathlib import Path
 from time import perf_counter, sleep
 
 from repro.core.ebrc import EBRC
+from repro.serve.errors import HeaderTooLarge, MalformedRequest
+from repro.serve.head import MAX_LINE, read_headers
 from repro.world.config import SimulationConfig
 
 __all__ = ["LoadConfig", "LoadReport", "run_loadtest", "synth_corpus"]
@@ -65,7 +71,7 @@ class LoadConfig:
     corpus_seed: int = 7
     timeout_s: float = 30.0
     retry_cap_s: float = 1.0
-    max_attempts: int = 200  # per request, counting 429 retries
+    max_attempts: int = 200  # per request, counting 429 and reconnect retries
 
 
 @dataclass
@@ -126,8 +132,27 @@ def _percentiles_ms(samples_s: list[float]) -> dict:
     }
 
 
+#: A reply's status line: the code, and a space or the line end after it.
+_STATUS_LINE = re.compile(rb"HTTP/1\.1 (\d{3})[ \r\n]")
+
+
+def _post(host: str, port: int, path: str, body: bytes) -> bytes:
+    """A JSON ``POST``: the bytes ``http.client`` sends for it, in one string."""
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+        f"Accept-Encoding: identity\r\nContent-Length: {len(body)}\r\n"
+        "Content-Type: application/json\r\n\r\n"
+    ).encode("latin-1") + body
+
+
 class _Worker(threading.Thread):
-    """One closed-loop client: next request only after the last response."""
+    """One closed-loop client: next request only after the last response.
+
+    It keeps one socket and one buffered reader per connection, sends
+    each request in one ``sendall`` and reads the status line, the
+    header block (:func:`repro.serve.head.read_headers`) and exactly
+    ``Content-Length`` body bytes.
+    """
 
     def __init__(self, config: LoadConfig, messages: list[str],
                  expected: list[str | None], cursor, results) -> None:
@@ -137,37 +162,44 @@ class _Worker(threading.Thread):
         self.expected = expected
         self.cursor = cursor          # shared request-index allocator
         self.results = results        # shared _Results sink
-        self.conn: http.client.HTTPConnection | None = None
-
-    def _connect(self) -> http.client.HTTPConnection:
-        if self.conn is None:
-            self.conn = http.client.HTTPConnection(
-                self.config.host, self.config.port,
-                timeout=self.config.timeout_s,
-            )
-            self.conn.connect()
-            # Small request bodies must not sit behind Nagle waiting for
-            # the server's delayed ACK.
-            self.conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        return self.conn
+        self.sock: socket.socket | None = None
+        self.rfile = None
 
     def _reset(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
 
-    def _request(self, path: str, payload: dict):
+    def _request(self, request: bytes):
         """One HTTP round trip; returns (status, json_body, retry_after_s)."""
-        conn = self._connect()
-        body = json.dumps(payload)
-        conn.request("POST", path, body=body,
-                     headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        data = response.read()
-        retry_after = response.getheader("Retry-After")
-        return response.status, json.loads(data), (
+        if self.sock is None:
+            self.sock = socket.create_connection(
+                (self.config.host, self.config.port), self.config.timeout_s
+            )
+            # Small request bodies must not sit behind Nagle waiting for
+            # the server's delayed ACK.
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.rfile = self.sock.makefile("rb")
+        self.sock.sendall(request)
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("server closed the connection")
+        status = _STATUS_LINE.match(line)
+        if status is None or len(line) > MAX_LINE:
+            raise ValueError(f"bad status line {line[:80]!r}")
+        headers = read_headers(self.rfile.readline)
+        text = headers.get("content-length", "")
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"bad Content-Length {text[:80]!r}")
+        length = int(text)
+        data = self.rfile.read(length)
+        if len(data) < length:
+            raise ConnectionError(f"reply cut short of its Content-Length, {length}")
+        if headers.get("connection", "").lower() == "close":
+            self._reset()
+        retry_after = headers.get("retry-after")
+        return int(status[1]), json.loads(data), (
             int(retry_after) if retry_after else 1
         )
 
@@ -180,20 +212,24 @@ class _Worker(threading.Thread):
             path, payload = "/classify", {"message": msgs[0]}
         else:
             path, payload = "/classify_many", {"messages": msgs}
+        request = _post(self.config.host, self.config.port, path,
+                        json.dumps(payload).encode("latin-1"))
         for attempt in range(self.config.max_attempts):
             t0 = perf_counter()
             try:
-                status, data, retry_after = self._request(path, payload)
-            except (http.client.HTTPException, OSError) as exc:
-                # Stale keep-alive or drain race: reconnect and retry.
+                status, data, retry_after = self._request(request)
+            except (HeaderTooLarge, MalformedRequest, OSError, ValueError) as exc:
+                # A stale keep-alive, a drain race or a reply that cannot
+                # be framed: reconnect and retry.
                 self._reset()
                 if attempt >= self.config.max_attempts - 1:
                     self.results.error(f"request {index}: {type(exc).__name__}: {exc}")
                     return
+                self.results.retry(backpressure=False)
                 continue
             elapsed = perf_counter() - t0
             if status == 429:
-                self.results.backpressure()
+                self.results.retry(backpressure=True)
                 sleep(min(retry_after, self.config.retry_cap_s))
                 continue
             if status != 200:
@@ -242,10 +278,11 @@ class _Results:
                         {"request": index, "got": got, "want": want}
                     )
 
-    def backpressure(self) -> None:
+    def retry(self, backpressure: bool) -> None:
+        """One more attempt: after a 429, or on a fresh connection."""
         with self._lock:
-            self.n_429 += 1
             self.n_retries += 1
+            self.n_429 += backpressure
 
     def error(self, message: str) -> None:
         with self._lock:

@@ -57,6 +57,7 @@ from repro.serve.errors import (
     error_body,
 )
 from repro.serve.handlers import GATED_PATHS, Response, dispatch
+from repro.serve.head import read_headers
 from repro.serve.queue import AdmissionGate
 from repro.serve.reload import ArtifactWatcher
 from repro.serve.state import ServerState
@@ -83,10 +84,6 @@ class ServeConfig:
     port_file: str | None = None
 
 
-#: ``http.client``'s limits on a request head: bytes per line (CRLF
-#: included), and lines per header block (its closing blank line included).
-_MAX_LINE = 65536
-_MAX_HEADER_LINES = 100
 #: The reply to each framing status ``send_error`` is asked for.
 _FRAMING_ERRORS = {
     cls.status: cls
@@ -170,8 +167,8 @@ def _make_handler(state: ServerState, gate: AdmissionGate,
         def parse_request(self) -> bool:
             """Parse the request line and header block (RFC 9112 §3, §5).
 
-            Headers land in a plain dict keyed by lower-cased name; the
-            first value wins, as ``HTTPMessage.get`` returns it.  Returns
+            The header block is read by :func:`repro.serve.head.read_headers`,
+            which the load generator also reads replies with.  Returns
             False once a malformed head has been answered (an empty line
             just closes the connection).
             """
@@ -199,33 +196,11 @@ def _make_handler(state: ServerState, gate: AdmissionGate,
             # As the stdlib does: '//host/x' must not read as a URI authority.
             self.path = "/" + target.lstrip("/") if target[:2] == "//" else target
             self.close_connection = version == "HTTP/1.0"
-            headers: dict[str, str] = {}
-            readline = self.rfile.readline
-            for _ in range(_MAX_HEADER_LINES):
-                raw = readline(_MAX_LINE + 1)
-                if len(raw) > _MAX_LINE:
-                    self.send_error(431, f"header line over {_MAX_LINE} bytes")
-                    return False
-                if raw in (b"\r\n", b"\n", b""):
-                    break
-                text = raw.decode("iso-8859-1")
-                name, colon, value = text.partition(":")
-                # No colon, no name, or whitespace in the name (which
-                # covers obs-fold continuation lines): RFC 9112 §5.1-5.2.
-                if not colon or not name or " " in name or "\t" in name:
-                    self.send_error(400, f"bad header line {text.rstrip()[:80]!r}")
-                    return False
-                key = name.lower()
-                value = value.strip(" \t\r\n")
-                if key not in headers:
-                    headers[key] = value
-                elif key == "content-length" and headers[key] != value:
-                    # Conflicting lengths become a list, which _read_body rejects.
-                    headers[key] += ", " + value
-            else:
-                self.send_error(431, f"more than {_MAX_HEADER_LINES - 1} header lines")
+            try:
+                self.headers = headers = read_headers(self.rfile.readline)
+            except (HeaderTooLarge, MalformedRequest) as exc:
+                self.send_error(exc.status, exc.message)
                 return False
-            self.headers = headers
             connection = headers.get("connection", "").lower()
             if connection == "close":
                 self.close_connection = True

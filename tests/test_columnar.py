@@ -205,10 +205,11 @@ class TestFullRunParity:
         with run_parallel_simulation(PARALLEL_CONFIG, workers=workers) as run:
             assert _lines(run.iter_records()) == parallel_oracle
 
-    def test_parallel_inherits_columnar_switch(self, parallel_oracle):
-        # Forked workers inherit disable_columnar from the parent;
-        # reference delivery in every worker must still merge to the
-        # columnar oracle.
+    def test_parallel_no_columnar_matches_serial(self, parallel_oracle):
+        # Reference delivery in 2 workers merges to the columnar oracle.
+        # The bytes are the same in every mode, so this cannot see
+        # whether a worker took the switch; tests/test_parallel.py::
+        # TestWorkerSwitches observes the switches inside the workers.
         fastpath.disable_columnar()
         try:
             with run_parallel_simulation(PARALLEL_CONFIG, workers=2) as run:
@@ -216,9 +217,9 @@ class TestFullRunParity:
         finally:
             fastpath.enable_columnar()
 
-    def test_parallel_inherits_no_cache_switch(self, parallel_oracle):
-        # Workers inherit --no-cache too (tests/test_parallel.py::
-        # TestWorkerSwitches sees the switches inside each worker).
+    def test_parallel_no_cache_matches_serial(self, parallel_oracle):
+        # The same bytes under --no-cache in 2 workers; the switch itself
+        # is observed in tests/test_parallel.py::TestWorkerSwitches.
         fastpath.disable()
         try:
             with run_parallel_simulation(PARALLEL_CONFIG, workers=2) as run:
@@ -226,8 +227,10 @@ class TestFullRunParity:
         finally:
             fastpath.enable()
 
-    def test_segment_workers_inherit_no_cache_switch(self):
-        # Segment workers inherit the same switches.
+    def test_segment_no_cache_matches_serial(self):
+        # A 2-worker segment under --no-cache gives the serial segment's
+        # bytes; tests/test_parallel.py::TestWorkerSwitches observes the
+        # switches inside the workers.
         config = _serial_config()
         cut = 6
         serial = run_segment(build_world(config), fresh_progress(config), cut)

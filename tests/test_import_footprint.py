@@ -110,17 +110,43 @@ def test_simulation_runs_without_numpy(tmp_path):
     )
 
 
-def test_simulation_leaves_tracing_unloaded(tmp_path):
-    """Traces are rebuilt from records, so an untraced serial
-    ``simulate`` never imports the tracing module."""
-    loaded = _run_fresh(textwrap.dedent(f"""
+def _simulate_holds(tmp_path, workers: int) -> list[str]:
+    """One line per process of ``repro simulate --workers N``: its role
+    and the tracing module, analyses and Drain it holds at the end."""
+    return _run_fresh(textwrap.dedent(f"""
         import sys
+        import repro.parallel.worker as worker
         from repro.cli import main
+
+        def unneeded():
+            return [m for m in sys.modules if m in ("repro.obs.trace", "repro.core.drain")
+                    or m.startswith("repro.analysis")]
+
+        finish = worker.finish_worker
+
+        def finish_worker(*args):
+            print("worker", *unneeded())
+            finish(*args)
+
+        worker.finish_worker = finish_worker  # forked workers inherit it
         assert main(["--quiet", "simulate", "--scale", "0.03", "--seed", "9",
+                     "--workers", "{workers}",
                      "--out", {str(tmp_path / "log.jsonl")!r}]) == 0
-        print(" ".join(m for m in ("repro.obs.trace",) if m in sys.modules))
-    """)).split()
-    assert loaded == []
+        print("parent", *unneeded())
+    """)).splitlines()
+
+
+def test_simulation_leaves_tracing_unloaded(tmp_path):
+    """Traces are rebuilt from records and the status line counts bounce
+    degrees itself, so an untraced serial ``simulate`` imports neither
+    the tracing module nor the analyses (nor the Drain they load)."""
+    assert _simulate_holds(tmp_path, workers=1) == ["parent"]
+
+
+def test_simulation_workers_leave_the_analyses_unloaded(tmp_path):
+    """Nor does ``simulate --workers 2``, in the parent or in the
+    workers it forks."""
+    assert sorted(_simulate_holds(tmp_path, workers=2)) == ["parent", "worker", "worker"]
 
 
 def test_checkpoint_store_leaves_the_analyses_unloaded():
