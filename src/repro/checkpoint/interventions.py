@@ -14,8 +14,9 @@ design rules:
 
 * **Mutations go through assignment.**  ``Zone.__setattr__`` bumps the
   zone's epoch on every assignment, so resolver state caches invalidate
-  themselves; the DNSBL's identity-guarded cache is purged explicitly
-  after its listing lists are replaced.
+  themselves.  Not every cached fact is guarded that way (domain rows
+  copy receiver MTA policies), so :func:`apply_intervention` purges the
+  world's caches and derived tables after every mutation.
 
 Specs are ``name`` or ``name:arg`` strings (e.g. ``fix-spf:acme-3.com``).
 """
@@ -123,7 +124,6 @@ def _delist_proxies(world: WorldModel, progress: dict, t: float, arg: str | None
             # identity, and a fresh object can never satisfy a stale entry.
             service._listings[ip] = truncated
             n += 1
-    service.purge_caches()
     return f"delisted {n} proxy IPs at the cut"
 
 
@@ -247,7 +247,9 @@ def apply_intervention(
     world: WorldModel, progress: dict, spec: str, t: float
 ) -> str:
     """Apply one ``name`` / ``name:arg`` spec at cut time ``t``; returns a
-    one-line summary of what changed."""
+    one-line summary of what changed.  The world's caches and derived
+    tables are purged afterwards, so engines built on it from then on
+    read the mutated world."""
     name, _, arg = spec.partition(":")
     item = INTERVENTIONS.get(name)
     if item is None:
@@ -255,7 +257,9 @@ def apply_intervention(
         raise ValueError(f"unknown intervention {name!r} (known: {known})")
     if item.needs_arg and not arg:
         raise ValueError(f"intervention {name} needs an argument ({name}:<value>)")
-    return item.apply(world, progress, t, arg or None)
+    summary = item.apply(world, progress, t, arg or None)
+    world.purge_caches()
+    return summary
 
 
 def branch_checkpoint(

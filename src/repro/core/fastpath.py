@@ -103,8 +103,9 @@ def disable_columnar() -> None:
     """Keep per-email reference execution (``--no-columnar``).
 
     Unlike :func:`disable` this does not clear any caches: columnar
-    execution holds no state of its own beyond engine-lifetime pure
-    plan rows, which die with their engines.
+    execution holds no state of its own.  Its plan rows are guarded,
+    pure tables on the world, which reference engines never read and
+    ``WorldModel.purge_caches`` drops.
     """
     global _columnar
     _columnar = False

@@ -119,12 +119,15 @@ _STATUS_CODE = {
 }
 
 class _DomainRow:
-    """Engine-lifetime, RNG-free facts of one receiver domain.
+    """RNG-free facts of one receiver domain, shared by every engine on
+    the world (``WorldModel._domain_rows``).
 
     Valid for ``start <= t < end`` (the MX zone state's interval,
     intersected with the domain's DNSBL adoption edge) while ``token``
     still matches the zone — the same guard discipline as the world's
-    fast-path caches, checked per unique domain per chunk."""
+    fast-path caches, checked per unique domain per chunk.  The policy
+    facts it copies from the receiver MTA are frozen between the world's
+    cache purges."""
 
     __slots__ = (
         "zone",
@@ -180,9 +183,9 @@ class _ChunkPlan:
 class ColumnarExecutor:
     """Chunked plan-and-replay executor bound to one engine.
 
-    Owns only pure, revalidated derived state (domain plan rows, network
-    plan tuples); every mutable simulation fact (RNG cursors, greylists,
-    TLS learning, auth cache) stays on the engine/world, so checkpoint
+    Its domain plan rows and their network plan tuples are pure,
+    revalidated tables on the world; every mutable simulation fact (RNG
+    cursors, greylists, TLS learning) stays on the engine, so checkpoint
     snapshot/restore works unchanged."""
 
     def __init__(self, engine: "DeliveryEngine", chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
@@ -190,7 +193,7 @@ class ColumnarExecutor:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self._engine = engine
         self._chunk_size = chunk_size
-        self._rows: dict[str, _DomainRow] = {}
+        self._rows: dict[str, _DomainRow] = engine.world._domain_rows
 
     # -- chunking ----------------------------------------------------------------
 
@@ -403,7 +406,7 @@ class ColumnarExecutor:
         sender_dialect = TemplateDialect.POSTFIX
 
         tls_learned = engine._tls_learned
-        auth_evaluate = engine._auth.evaluate
+        auth_evaluate = world.auth_evaluator().evaluate
         greylist_for = engine._greylist_for
         greylists_get = engine._greylists.get
         run_attempts = engine._run_attempts

@@ -28,7 +28,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable
 
-from repro.auth.evaluator import AuthEvaluator
 from repro.core import fastpath
 from repro.core.taxonomy import BounceDegree, BounceType
 from repro.delivery.proxies import ProxyMTA
@@ -89,7 +88,6 @@ class DeliveryEngine:
     def __init__(self, world: WorldModel, rng: RandomSource) -> None:
         self.world = world
         self.rng = rng
-        self._auth = AuthEvaluator(world.resolver)
         #: Receiver domains known to require STARTTLS (fleet-wide: one
         #: T4 bounce teaches every proxy, mirroring operator-level
         #: TLS-policy configuration shared across the fleet).
@@ -105,13 +103,14 @@ class DeliveryEngine:
         #: created).  Greylist state accumulates per execution slice, not
         #: in the shared world, so slices are order-independent.
         self._greylists: dict[str, object] = {}
-        # Fast-path caches (captured once; the CLI toggles fastpath
-        # before the engine is constructed).  Both are pure lookups:
-        # per-receiver-domain policy snapshots and per-country-pair
-        # network probabilities never touch the random streams.
+        # Fast-path switch (captured once; the CLI toggles fastpath
+        # before the engine is constructed).  The per-receiver-domain
+        # policy snapshots and per-country-pair network probabilities it
+        # enables are pure lookups that never touch the random streams,
+        # kept on the world so every engine of a process shares them.
         self._fast = fastpath.enabled()
-        self._domain_snap: dict[str, list] = {}
-        self._net_probs: dict[tuple[str, str], tuple[float, float]] = {}
+        self._domain_snap: dict[str, list] = world._domain_snap
+        self._net_probs: dict[tuple[str, str], tuple[float, float]] = world._net_probs
         # Telemetry: instruments resolve to shared no-ops when repro.obs is
         # disabled (the default); the cached flag keeps the disabled cost
         # of a delivery to one boolean check.  None of this touches the
@@ -152,8 +151,8 @@ class DeliveryEngine:
         Engine construction consumes zero random draws, so restoring this
         payload into a freshly constructed engine (same world, same named
         stream) resumes delivery exactly where the snapshotted engine
-        stopped.  Fast-path memos (`_domain_snap`, `_net_probs`) are pure
-        lookups and rebuild naturally; they are deliberately excluded.
+        stopped.  The fast-path tables the engine reads belong to the
+        world, not the engine; they are deliberately excluded.
         """
         greylists: dict[str, dict | None] = {}
         for domain, store in self._greylists.items():
@@ -443,7 +442,7 @@ class DeliveryEngine:
             mta = world.receiver_mtas[receiver_domain]
         auth_result = None
         if mta.policy.enforces_auth:
-            auth_result = self._auth.evaluate(sender_domain, proxy.ip, t)
+            auth_result = world.auth_evaluator().evaluate(sender_domain, proxy.ip, t)
         ctx = AttemptContext(
             t=t,
             proxy_ip=proxy.ip,

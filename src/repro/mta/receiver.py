@@ -173,8 +173,9 @@ class ReceiverMTA:
     def gauntlet_profile(self) -> GauntletProfile:
         """Snapshot the gauntlet's RNG-free policy facts (see
         :class:`GauntletProfile`).  Pure read; callers own revalidation
-        (the engine's frozen-world contract: policies don't mutate
-        within an engine's lifetime)."""
+        (the frozen-world contract: policies are frozen per world between
+        purges, and whatever mutates one calls
+        :meth:`WorldModel.purge_caches` afterwards)."""
         policy = self.policy
         return GauntletProfile(
             tls_mandatory=policy.tls is TLSRequirement.MANDATORY,

@@ -233,12 +233,17 @@ class _Worker(threading.Thread):
                 sleep(min(retry_after, self.config.retry_cap_s))
                 continue
             if status != 200:
+                detail = data.get("error", data) if isinstance(data, dict) else data
+                self.results.error(f"request {index}: HTTP {status}: {detail}")
+                return
+            try:
+                got = [data["type"]] if batch == 1 else data["types"]
+            except (KeyError, TypeError):
                 self.results.error(
-                    f"request {index}: HTTP {status}: "
-                    f"{data.get('error', data)}"
+                    f"request {index}: HTTP 200 without "
+                    f"{'type' if batch == 1 else 'types'}: {str(data)[:80]}"
                 )
                 return
-            got = [data["type"]] if batch == 1 else data["types"]
             self.results.success(elapsed, got == want, index, got, want,
                                  n_messages=len(msgs))
             return

@@ -396,21 +396,24 @@ class ShardReader:
     def _open(self, info: ShardInfo):
         path = self.directory / info.name
         if self.manifest.compression == "gzip":
-            return gzip.open(path, "rt", encoding="utf-8")
-        return path.open("r", encoding="utf-8")
+            return gzip.open(path, "rb")
+        return path.open("rb")
 
     def iter_lines(self, info: ShardInfo, verify: bool = False) -> Iterator[str]:
+        """The shard's non-blank lines, decoded as strict UTF-8.  With
+        ``verify`` the bytes on disk are hashed as read, line endings
+        included, so any rewritten byte fails the manifest checksum."""
         digest = hashlib.sha256() if verify else None
         with self._open(info) as fh:
-            for line in fh:
+            for raw in fh:
                 if digest is not None:
-                    digest.update(line.encode("utf-8"))
-                line = line.strip()
+                    digest.update(raw)
+                line = raw.decode("utf-8").strip()
                 if line:
                     yield line
         if digest is not None and digest.hexdigest() != info.sha256:
             raise ShardIntegrityError(
-                f"shard {info.name}: payload checksum mismatch "
+                f"shard {self.directory / info.name}: payload checksum mismatch "
                 f"(expected {info.sha256}, got {digest.hexdigest()})"
             )
 

@@ -50,18 +50,19 @@ class TrafficGenerator:
         self.rng = rng
         self.schedule = ArrivalSchedule(world.clock, world.config.emails_per_day_scaled)
         self._sender_sampler = world.sender_sampler(rng.child("senders"))
-        # Per-user cumulative contact weights (fast path only).  Guarded by
-        # the contact list's identity and length so a rebuilt or extended
-        # list recomputes the table.
-        self._contact_cum: dict[str, tuple[list, list[float], float]] = {}
+        # Per-user cumulative contact weights (fast path only), shared by
+        # every generator on the world.  Guarded by the contact list's
+        # identity and length so a rebuilt or extended list recomputes
+        # the table.
+        self._contact_cum: dict[str, tuple[list, list[float], float]] = world._contact_cum
         # Reusable per-email child stream (fast path only): reseeding the
         # wrapped Random in place is draw-identical to constructing the
         # child RandomSource the reference path builds per email.
         self._scratch: RandomSource | None = None
         # Contact-address splits (fast path only): the same few thousand
-        # contact addresses recur every day, so one generator-lifetime
-        # dict probe replaces the split_address call in the hot loop.
-        self._split_cache: dict[str, tuple[str, str]] = {}
+        # contact addresses recur every day, so one world-scoped dict
+        # probe replaces the split_address call in the hot loop.
+        self._split_cache: dict[str, tuple[str, str]] = world._split_cache
 
     def generate(self) -> list[EmailSpec]:
         """The full benign stream across the measurement window, in time

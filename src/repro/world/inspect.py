@@ -117,6 +117,9 @@ _SKIP_ATTRS = frozenset(
     {
         "_status_cache",
         "_sender_dns_cache",
+        "_auth",
+        "_domain_rows",
+        "_split_cache",
         "_domain_sampler",
         "_sender_sampler",
         "_state_cache",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from repro.auth.evaluator import AuthEvaluator
 from repro.core import fastpath
 from repro.delivery.proxies import ProxyFleet
 from repro.dnsbl.service import DNSBLService, build_spamhaus_listings
@@ -132,20 +133,45 @@ class WorldModel:
     #: Fast-path interval caches (address -> _StatusEntry, domain -> tuple).
     _status_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _sender_dns_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Fast-path tables the slice objects derive from the world, built
+    #: once per world per process and shared by every delivery engine and
+    #: traffic generator on it: the auth evaluator (:meth:`auth_evaluator`),
+    #: columnar domain rows with their network plans, the engine's
+    #: domain snapshots and country-pair network probabilities, and the
+    #: traffic generator's contact weight tables and address splits.
+    #: Every entry is pure and RNG-free, and each is guarded by a validity
+    #: interval, a zone token or a list identity, except the receiver MTA
+    #: policy facts the rows copy: those are frozen between purges.
+    _auth: AuthEvaluator | None = field(default=None, repr=False, compare=False)
+    _domain_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _domain_snap: dict = field(default_factory=dict, repr=False, compare=False)
+    _net_probs: dict = field(default_factory=dict, repr=False, compare=False)
+    _contact_cum: dict = field(default_factory=dict, repr=False, compare=False)
+    _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- checkpoint support ------------------------------------------------------
 
     def purge_caches(self) -> None:
-        """Drop every fast-path cache reachable from the world.
+        """Drop every fast-path cache and derived table reachable from the
+        world.
 
-        Called before pickling a checkpoint and after restoring one: the
-        caches rebuild on demand (they are all identity/epoch/interval
-        guarded pure lookups), so purging never changes behaviour — it
-        keeps snapshots small and guarantees cached and ``--no-cache``
-        restores resume from the same bytes.
+        Called before pickling a checkpoint, after restoring one, in a
+        forked worker that inherits its parent's world, and after an
+        intervention mutates the world: the caches rebuild on demand, so
+        purging never changes behaviour — it keeps snapshots small,
+        guarantees cached and ``--no-cache`` restores resume from the
+        same bytes, and lets a rebuilt auth evaluator bind this process's
+        metrics registry.  Tables are cleared in place, so a live slice
+        object never reads a purged entry.
         """
         self._status_cache.clear()
         self._sender_dns_cache.clear()
+        self._auth = None
+        for table in (
+            self._domain_rows, self._domain_snap, self._net_probs,
+            self._contact_cum, self._split_cache,
+        ):
+            table.clear()
         self.resolver.purge_caches()
         self.dnsbl.purge_caches()
 
@@ -157,6 +183,14 @@ class WorldModel:
         self.resolver.rebind_telemetry()
         for mta in self.receiver_mtas.values():
             mta.rebind_telemetry()
+
+    def auth_evaluator(self) -> AuthEvaluator:
+        """The world's sender-authentication evaluator, built on first use
+        after construction or a purge, so its cache statistics count into
+        the metrics registry of the process that uses it."""
+        if self._auth is None:
+            self._auth = AuthEvaluator(self.resolver)
+        return self._auth
 
     # -- samplers -------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from repro.checkpoint import (
     run_segment,
     save_checkpoint,
 )
+from repro.core import fastpath
 from repro.parallel import run_parallel_simulation
 from repro.util.clock import DEFAULT_START
 from repro.world.model import build_world
@@ -129,6 +130,35 @@ class TestBranching:
         _, branch_dir, _, branch, head_len, _ = arms
         with run_parallel_simulation(load_checkpoint(branch_dir), 2) as run:
             assert [r.to_json() for r in run.iter_records()] == branch[head_len:]
+
+    def test_in_process_intervention_matches_no_cache(self, arms):
+        """An intervention applied in process, between two segments on one
+        loaded world, reaches the fresh engines of the second: the world's
+        derived tables are purged (its domain rows copy each receiver's
+        ``enforces_auth``), so the cached bytes equal the reference
+        path's, and the intervention changes the tail."""
+        base_dir, _, baseline, _, head_len, _ = arms
+        mid = (CUT + N_DAYS) // 2
+
+        def run() -> list[str]:
+            ckpt = load_checkpoint(base_dir)
+            world = ckpt.world
+            head = run_segment(world, ckpt.progress, mid)
+            lines = [r.to_json() for r in head.records]
+            progress = head.finish()
+            apply_intervention(world, progress, "enable-dmarc-fleetwide",
+                               world.clock.day_start(mid))
+            tail = run_segment(world, progress, N_DAYS)
+            return lines + [r.to_json() for r in tail.records]
+
+        cached = run()
+        fastpath.disable()
+        try:
+            reference = run()
+        finally:
+            fastpath.enable()
+        assert cached == reference
+        assert cached != baseline[head_len:]
 
     def test_needs_at_least_one_intervention(self, arms, tmp_path):
         base_dir, *_ = arms

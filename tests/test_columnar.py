@@ -445,3 +445,121 @@ class TestReferencePaths:
                 assert record.n_attempts < config.max_attempts
                 return
         pytest.fail("never saw a Normal-flagged non-delivery")
+
+
+class TestWorldScopedTables:
+    """The pure tables slice objects derive from the world (auth verdicts,
+    domain rows, network plans, domain snapshots, contact weights and
+    address splits) live on the world: every engine and traffic generator
+    of a process shares them, the world's purge drops them, and neither
+    the digest nor a checkpoint sees them."""
+
+    @staticmethod
+    def _tables(world) -> dict:
+        return {
+            "domain_rows": world._domain_rows,
+            "domain_snap": world._domain_snap,
+            "net_probs": world._net_probs,
+            "contact_cum": world._contact_cum,
+            "split_cache": world._split_cache,
+        }
+
+    @staticmethod
+    def _fill(world, cut=4):
+        """Run ``cut`` days, then some reference deliveries (the engine's
+        own snapshots only fill off the columnar path)."""
+        config = world.config
+        for _ in run_segment(world, fresh_progress(config), cut):
+            pass
+        fastpath.disable_columnar()
+        try:
+            engine = DeliveryEngine(world, RandomSource(17))
+        finally:
+            fastpath.enable_columnar()
+        for spec in sorted(_make_specs(world, 60, days=cut), key=lambda s: s.t):
+            engine.deliver(spec)
+
+    def test_second_engine_reuses_the_first_engines_entries(self, monkeypatch):
+        from repro.auth.evaluator import AuthEvaluator
+
+        # Both engines draw from the same stream, so the second picks the
+        # first one's proxies and asks for the same (domain, IP) verdicts.
+        world = build_world(_serial_config())
+        specs = sorted(_make_specs(world, 600, seed=8, days=8.0),
+                       key=lambda s: s.t)
+        list(DeliveryEngine(world, RandomSource(41)).deliver_all(specs))
+        rows = dict(world._domain_rows)
+        verdicts = dict(world.auth_evaluator()._cache)
+        assert rows and verdicts
+
+        first_rows: dict = {}
+        first_verdicts: dict = {}
+        row_for = ColumnarExecutor._row_for
+        evaluate = AuthEvaluator.evaluate
+
+        def spy_row_for(self, domain, t):
+            row = row_for(self, domain, t)
+            first_rows.setdefault(domain, (t, row))
+            return row
+
+        def spy_evaluate(self, domain, ip, t):
+            result = evaluate(self, domain, ip, t)
+            first_verdicts.setdefault((domain, ip), (t, result))
+            return result
+
+        monkeypatch.setattr(ColumnarExecutor, "_row_for", spy_row_for)
+        monkeypatch.setattr(AuthEvaluator, "evaluate", spy_evaluate)
+        list(DeliveryEngine(world, RandomSource(41)).deliver_all(specs))
+
+        # Every first lookup the second engine makes inside the validity
+        # of an entry the first engine left returns that very entry.
+        reused_rows = [
+            domain for domain, (t, row) in first_rows.items()
+            if domain in rows and rows[domain].start <= t < rows[domain].end
+        ]
+        reused_verdicts = [
+            key for key, (t, result) in first_verdicts.items()
+            if key in verdicts and verdicts[key].start <= t < verdicts[key].end
+        ]
+        assert len(reused_rows) >= 10 and len(reused_verdicts) >= 10
+        assert all(first_rows[d][1] is rows[d] for d in reused_rows)
+        assert all(first_verdicts[k][1] is verdicts[k].result
+                   for k in reused_verdicts)
+
+    def test_purge_empties_every_table(self):
+        world = build_world(_serial_config())
+        self._fill(world)
+        tables = self._tables(world)
+        assert all(tables.values()), {k for k, v in tables.items() if not v}
+        assert world.auth_evaluator()._cache
+        world.purge_caches()
+        assert not any(tables.values())
+        assert world._auth is None
+
+    def test_world_digest_ignores_the_tables(self):
+        # A run also fills the template bank's pool cache, which the
+        # digest covers, so the filled world is digested with and
+        # without its tables rather than before and after the run.
+        from repro.world.inspect import world_digest
+
+        world = build_world(_serial_config())
+        self._fill(world)
+        tables = self._tables(world)
+        assert all(tables.values()) and world._auth is not None
+        filled = world_digest(world)
+        for table in tables.values():
+            table.clear()
+        world._auth = None
+        assert world_digest(world) == filled
+
+    def test_checkpoint_pickles_no_table(self, tmp_path):
+        import pickle
+
+        from repro.checkpoint.store import WORLD_NAME
+
+        world = build_world(_serial_config())
+        self._fill(world)
+        save_checkpoint(tmp_path / "cut", world, 4, fresh_progress(world.config))
+        saved = pickle.loads((tmp_path / "cut" / WORLD_NAME).read_bytes())
+        assert not any(self._tables(saved).values())
+        assert saved._auth is None

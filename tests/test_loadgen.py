@@ -278,6 +278,43 @@ class TestClient:
         assert report.duration_s < timeout_s
 
 
+    @pytest.mark.parametrize("status, body, batch, error", [
+        ("200 OK", b"{}", 1, "HTTP 200 without type: {}"),
+        ("200 OK", b"[]", 1, "HTTP 200 without type: []"),
+        ("200 OK", b"{}", 3, "HTTP 200 without types: {}"),
+        ("200 OK", b"[]", 3, "HTTP 200 without types: []"),
+        ("500 Internal Server Error", b"[]", 1, "HTTP 500: []"),
+    ], ids=["200-object", "200-array", "200-object-batch", "200-array-batch",
+            "500-array"])
+    def test_unreadable_reply_ends_in_errors(self, artifact, corpus, status,
+                                             body, batch, error):
+        reply = (f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n\r\n"
+                 .encode("latin-1") + body)
+        with RawServer(reply) as raw:
+            report = run_loadtest(
+                LoadConfig(host="127.0.0.1", port=raw.port, artifact=str(artifact),
+                           n_requests=2, concurrency=1, batch=batch,
+                           max_attempts=3, timeout_s=10.0),
+                corpus=corpus,
+            )
+        assert report.n_requests == 0
+        assert [e.split(": ", 1)[1] for e in report.errors] == [error] * 2
+
+    def test_cli_exits_nonzero_on_an_unreadable_reply(self, artifact, corpus,
+                                                      monkeypatch, capsys):
+        from repro.cli import main
+        from repro.serve import loadgen
+
+        monkeypatch.setattr(loadgen, "synth_corpus", lambda *args: corpus)
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+        with RawServer(reply) as raw:
+            code = main(["loadtest", "--port", str(raw.port), "--artifact",
+                         str(artifact), "--requests", "1", "--concurrency", "1",
+                         "--out", "-", "--quiet"])
+        assert code == 1
+        assert "HTTP 200 without type" in capsys.readouterr().err
+
+
 class TestSynthCorpus:
     def test_corpus_is_ndr_lines(self):
         from repro.serve.loadgen import synth_corpus

@@ -334,11 +334,16 @@ class TestWorkerTelemetry:
 
     def test_worker_memo_lookups_are_counted(self):
         """The module-level memos count their lookups in workers too.
-        Every cache the serial run looks up is looked up by 2 workers,
-        and the parse memos, which see one lookup per parse whatever is
-        cached above them, count the serial totals."""
+        Every cache the serial run looks up is looked up by 2 workers.
+        The parse memos see one lookup per parse, and the parses happen
+        below the world's auth evaluator, which each process builds for
+        its own world: the 2-worker totals are those of the workers'
+        slice buckets, each run in process on a world of its own."""
         from repro.core import fastpath
         from repro.obs import metrics as obs_metrics
+        from repro.stream.runner import run_slice
+        from repro.util.rng import RandomSource
+        from repro.world.model import build_world
 
         def lookups():
             totals: dict[str, float] = {}
@@ -363,6 +368,19 @@ class TestWorkerTelemetry:
             with run_parallel_simulation(config, workers=2):
                 pass
             parallel = lookups()
+            grouped: dict[str, float] = {}
+            for bucket in assign_slices(plan_slices(config), 2):
+                obs_metrics.reset()
+                fastpath.reset()
+                world = build_world(config)
+                rng = RandomSource(config.seed, name="sim")
+                for sim_slice in bucket:
+                    fresh = {"status": "fresh", "n_delivered": 0}
+                    for _ in run_slice(world, rng, sim_slice, fresh,
+                                       world.clock.n_days, {}):
+                        pass
+                for name, n in lookups().items():
+                    grouped[name] = grouped.get(name, 0) + n
         finally:
             obs_metrics.disable()
             obs_metrics.reset()
@@ -371,7 +389,7 @@ class TestWorkerTelemetry:
         assert set(parse_memos) <= used
         assert {name for name in used if parallel.get(name)} == used
         assert {m: parallel[m] for m in parse_memos} == {
-            m: serial[m] for m in parse_memos
+            m: grouped[m] for m in parse_memos
         }
 
 

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import re
 
 import pytest
 
@@ -121,6 +122,45 @@ class TestIntegrity:
             reader.verify()
         # unverified reads still work
         assert len(list(reader.iter_records())) == len(records)
+
+    @staticmethod
+    def _crlf_first_line(path):
+        """Rewrite the first line end of ``path`` (plain or gzip) as CRLF."""
+        opener = gzip.open if path.suffix == ".gz" else open
+        with opener(path, "rb") as fh:
+            payload = fh.read()
+        with opener(path, "wb") as fh:
+            fh.write(payload.replace(b"\n", b"\r\n", 1))
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_rewritten_line_end_detected(self, records, tmp_path, compress):
+        # Text-mode reads translate CRLF back to LF, so verification
+        # must hash the bytes on disk, not decoded lines.
+        manifest = _write(records, tmp_path, shard_size=250, compress=compress)
+        victim = tmp_path / manifest.shards[1].name
+        self._crlf_first_line(victim)
+        reader = ShardReader(tmp_path)
+        with pytest.raises(ShardIntegrityError,
+                           match=re.escape(f"shard {victim}: payload")):
+            reader.verify()
+        # unverified reads still yield every record
+        assert [r.to_json() for r in reader.iter_records()] == [
+            r.to_json() for r in records
+        ]
+
+    def test_rewritten_line_end_fails_the_parallel_merge(self, tmp_path):
+        from repro.parallel import run_parallel_simulation
+        from repro.parallel.worker import slice_dir
+        from repro.world.config import SimulationConfig
+
+        config = SimulationConfig(scale=0.005, seed=3)
+        with run_parallel_simulation(config, 2, shard_root=tmp_path) as run:
+            directory = slice_dir(tmp_path, run.slices[-1].index)
+            victim = directory / ShardReader(directory).manifest.shards[0].name
+            self._crlf_first_line(victim)
+            with pytest.raises(ShardIntegrityError,
+                               match=re.escape(f"shard {victim}: payload")):
+                list(run.iter_records())
 
     def test_checksums_are_payload_level(self, records, tmp_path):
         """Same records -> same checksums, even for gzip (whose file bytes
