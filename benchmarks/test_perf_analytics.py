@@ -6,8 +6,8 @@ suite is live tables over *unbounded* sharded corpora.  Measured here by
 folding the bench corpus once and then the same shard directory twice
 (double the records, identical distinct-key population): the peaks must
 be flat.  Results go to ``BENCH_analytics.json`` at the repo root so
-perf PRs can diff them (locally ~29k records/s observed, ~20 MB peak,
-2x/1x ratio ~1.00).
+perf PRs can diff them (on a shared 2-vCPU box: ~61k records/s, ~21 MB
+peak, 2x/1x ratio ~1.02).
 """
 
 import json

@@ -43,6 +43,7 @@ __all__ = [
     "ScalarStat",
     "SnapshotError",
     "TopK",
+    "live_map",
     "restore",
 ]
 
@@ -756,3 +757,19 @@ class KeyedEpisodes(Accumulator):
             for k, v in snapshot["episodes"].items()
         }
         return out
+
+
+#: The attribute holding the map or set each kind's ``observe`` updates.
+_LIVE = {
+    LabeledCounter: "_counts",
+    DistinctSet: "_items",
+    KeyedDistinct: "_sets",
+    KeyedMax: "_values",
+}
+
+
+def live_map(acc):
+    """The dict or set that ``acc.observe`` updates — the hook for a bulk
+    fold that writes it directly. The writer must do what ``observe``
+    does: add to a count, add to a key's set, or keep the maximum."""
+    return getattr(acc, _LIVE[type(acc)])

@@ -51,13 +51,14 @@ from repro.analytics.accumulators import (
     QuantileSketch,
     ScalarStat,
     SnapshotError,
+    live_map,
     restore,
 )
 from repro.core.taxonomy import BounceType, RootCause
 from repro.dnssim.records import RecordType, ResolveStatus
 from repro.smtp.ndr import is_success
 from repro.typosquat.generate import classify_typo, domain_typos
-from repro.util.clock import DAY_SECONDS, SimClock
+from repro.util.clock import DAY_SECONDS, WEEK_SECONDS, SimClock
 from repro.util.text import similarity_ratio, split_address
 
 SUITE_SNAPSHOT_VERSION = 1
@@ -68,6 +69,31 @@ SEP = "\x1f"
 
 #: CDF grid (days) for the Fig 7 duration curves.
 DURATION_GRID_DAYS = (1.0, 2.0, 4.0, 7.0, 14.0, 30.0, 60.0, 120.0)
+
+#: The accumulators whose maps :meth:`TableSuite.observe_many` writes
+#: directly, per record and per record outline, in the order it unpacks
+#: them.
+_RECORD_MAPS = (
+    "day_degree", "monthly", "week_dom_n", "week_dom_senders",
+    "week_addr_n", "week_addr_senders", "last_success",
+)
+_OUTLINE_MAPS = (
+    "totals", "rd_volume", "rd_hard", "rd_soft", "sd_volume", "sd_hard",
+    "sd_soft", "ip_volume", "ip_hard", "ip_soft", "pair_traffic",
+    "pair_delivered_n", "types", "rd_type", "ip_type", "delivered_domains",
+    "delivered_addrs", "spam_recipients", "rd_senders", "pair_hit_users",
+    "deliv_user_sets", "pair_t8_users",
+)
+
+#: Distinct record outlines the fold counts before it writes them.
+_OUTLINE_CAP = 4096
+
+#: Entries a fold memo holds before it starts over.
+_MEMO_CAP = 1 << 16
+
+#: Seconds into a UTC day past which ``clock.month_key`` may round into
+#: the next day.
+_LAST_INSTANT = DAY_SECONDS - 1e-6
 
 
 def clock_from_ts(start_ts: float, end_ts: float) -> SimClock:
@@ -132,6 +158,33 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
+def _remember(memo: dict, key, value):
+    """``memo[key] = value``, emptying ``memo`` first when it is full."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _receiver_facts(receiver: str, providers: tuple[str, ...]) -> tuple:
+    """What the fold needs of one receiver address: the receiver domain,
+    the lower-cased address and user, the ``split_address`` pair with the
+    user lower-cased (None when it raises), and whether the lower-cased
+    address's domain and the receiver domain are probed providers."""
+    rd = receiver.rsplit("@", 1)[-1]
+    lower = receiver.lower()
+    try:
+        user, dlow = split_address(receiver)
+    except ValueError:
+        split = None
+    else:
+        split = (user.lower(), dlow)
+    return (
+        rd, lower, receiver.split("@", 1)[0].lower(), split,
+        lower.rsplit("@", 1)[-1] in providers, rd in providers,
+    )
+
+
 class TableSuite:
     """One-pass mergeable twin of the batch analysis suite."""
 
@@ -146,6 +199,12 @@ class TableSuite:
         self._labeler = RuleLabeler()
         #: UTC epoch day -> ``clock.month_key`` of that day.
         self._months: dict[int, str] = {}
+        #: Fold memos (see :meth:`observe_many`), each capped at
+        #: ``_MEMO_CAP`` entries: reply text -> is_success, sender ->
+        #: sender domain, receiver -> :func:`_receiver_facts`.
+        self._reply_ok: dict[str, bool] = {}
+        self._sender_domains: dict[str, str] = {}
+        self._receivers: dict[str, tuple] = {}
         self._acc = {
             # overview / Fig 5
             "totals": LabeledCounter(),
@@ -204,14 +263,25 @@ class TableSuite:
             "week_addr_n": LabeledCounter(),
             "week_addr_senders": KeyedDistinct(),
         }
+        self._bind()
 
     # -- ingestion -------------------------------------------------------------
+
+    def _bind(self) -> None:
+        """Point the fold at the live maps of its hot accumulators.
+
+        Called whenever ``_acc`` gets new accumulator objects (here and in
+        :meth:`from_snapshot`); ``merge`` updates these maps in place.
+        """
+        a = self._acc
+        self._record_maps = tuple(live_map(a[name]) for name in _RECORD_MAPS)
+        self._outline_maps = tuple(live_map(a[name]) for name in _OUTLINE_MAPS)
 
     def _month_key(self, t: float) -> str:
         """``clock.month_key(t)``, memoised per UTC epoch day (a day never
         spans two months)."""
         day = int(t // DAY_SECONDS)
-        if t - day * DAY_SECONDS > DAY_SECONDS - 1e-6:
+        if t - day * DAY_SECONDS > _LAST_INSTANT:
             # month_key rounds to whole microseconds, which can carry the
             # last instant of a day into the next one.
             return self.clock.month_key(t)
@@ -220,136 +290,243 @@ class TableSuite:
             month = self._months[day] = self.clock.month_key(day * DAY_SECONDS)
         return month
 
+    def _sender_domain(self, sender: str) -> str:
+        sd = self._sender_domains.get(sender)
+        if sd is None:
+            sd = _remember(self._sender_domains, sender, sender.rsplit("@", 1)[-1])
+        return sd
+
+    def _receiver(self, receiver: str) -> tuple:
+        facts = self._receivers.get(receiver)
+        if facts is None:
+            facts = _remember(
+                self._receivers, receiver, _receiver_facts(receiver, self.providers)
+            )
+        return facts
+
     def observe(self, record) -> None:
-        """Fold one delivery record into every accumulator.
+        """Fold one delivery record into every accumulator."""
+        self.observe_many((record,))
 
-        Each attempt's outcome is parsed once, into ``ok``; the bounce
-        degree, the delivered flag, the first success and the first
-        failure all derive from that list.
+    def observe_many(self, records) -> int:
+        """Fold delivery records into every accumulator; returns how many.
+
+        The fold writes the hot counters, sets and maxima as their
+        ``observe`` methods would, without a method call per observation.
+        A record's writes that need its times or its failure text are made
+        record by record. The others depend only on its *outline* —
+        sender, receiver, bounce degree, first receiving IP, flag and
+        bounce types — so the fold counts outlines and writes each
+        distinct one once, with its count (:meth:`_fold_outlines`), when
+        the batch ends or ``_OUTLINE_CAP`` outlines have piled up. Either
+        way every accumulator first sees its keys in the order the records
+        bring them, so the state is the one per-record observation gives.
+
+        What depends on one field alone is worked out once per distinct
+        value and memoised on the suite: per reply text whether it is a
+        success, per sender its domain, per receiver
+        :func:`_receiver_facts`. A record is read in full, its outline
+        hashed included, before its first write, and its only writes that
+        can raise (the delay statistics, on a non-finite time) come first,
+        so a record that raises leaves the suite as the records before it
+        left it.
         """
-        attempts = record.attempts
-        if not attempts:
-            raise ValueError("record has no attempts")
-        ok = [is_success(att.result) for att in attempts]
-        delivered = True in ok
-        deg = "non" if ok[0] else "soft" if delivered else "hard"
+        (day_degree, monthly, week_dom_n, week_dom_senders, week_addr_n,
+         week_addr_senders, last_success) = self._record_maps
         a = self._acc
-        clock = self.clock
-        self.n_records += 1
+        reply_ok = self._reply_ok
+        sender_domains = self._sender_domains
+        receivers = self._receivers
+        classify = self._labeler.classify
+        months = self._months
+        start_ts = self.clock.start_ts
+        n_days = self.clock.n_days
+        T6 = BounceType.T6
+        T8 = BounceType.T8
+        outlines: dict[tuple, int] = {}
+        n = 0
+        try:
+            for record in records:
+                # -- read
+                attempts = record.attempts
+                if not attempts:
+                    raise ValueError("record has no attempts")
+                ok = []
+                for att in attempts:
+                    good = reply_ok.get(att.result)
+                    if good is None:
+                        good = _remember(reply_ok, att.result, is_success(att.result))
+                    ok.append(good)
+                delivered = True in ok
+                deg = "non" if ok[0] else "soft" if delivered else "hard"
+                t0 = record.start_time
+                sender = record.sender
+                sd = sender_domains.get(sender)
+                if sd is None:
+                    sd = self._sender_domain(sender)
+                receiver = record.receiver
+                facts = receivers.get(receiver)
+                if facts is None:
+                    facts = self._receiver(receiver)
+                rd = facts[0]
+                # clock.day_index, clock.week_index and _month_key's memo
+                day = int((t0 - start_ts) // DAY_SECONDS)
+                week = int((t0 - start_ts) // WEEK_SECONDS)
+                epoch_day = int(t0 // DAY_SECONDS)
+                month = months.get(epoch_day)
+                if month is None or t0 - epoch_day * DAY_SECONDS > _LAST_INSTANT:
+                    month = self._month_key(t0)
+                ip = None
+                for att in attempts:
+                    if att.to_ip:
+                        ip = att.to_ip
+                        break
+                bounced = False in ok
+                btype = failure = None
+                if bounced:
+                    failure = attempts[ok.index(False)]
+                    btype = classify(failure.result)
+                final_t8 = not delivered and classify(attempts[-1].result) is T8
+                if deg == "soft" or (delivered and btype is T6):
+                    delay = attempts[ok.index(True)].t - t0
+                if delivered:
+                    # KeyedMax.observe over the successes, into a local
+                    latest = last_success.get(rd)
+                    for att, good in zip(attempts, ok):
+                        if good and (latest is None or att.t > latest):
+                            latest = att.t
+                outline = (sender, sd, receiver, deg, ip, record.email_flag,
+                           bounced, btype, final_t8)
+                count = outlines.get(outline, 0)
 
-        totals = a["totals"]
-        totals.observe("emails")
-        totals.observe(deg)
+                # -- write
+                if deg == "soft":
+                    a["recovery_hours"].observe(delay / 3600.0)
+                    a["recovery_sketch"].observe(delay / 3600.0)
+                    a["soft_attempts"].observe(len(attempts))
+                if delivered and btype is T6:
+                    a["greylist_delay_s"].observe(delay)
+                    a["greylist_sketch"].observe(delay)
+                in_days = 0 <= day < n_days
+                if in_days:
+                    key = f"{day}{SEP}{deg}"
+                    day_degree[key] = day_degree.get(key, 0) + 1
+                monthly[month] = monthly.get(month, 0) + 1
+                # Fig 9 weekly series keys are deliberately NOT range-guarded
+                # — the batch persistence estimator isn't either; the guard is
+                # applied when rendering the series.
+                key = f"{rd}{SEP}{week}"
+                week_dom_n[key] = week_dom_n.get(key, 0) + 1
+                week_dom_senders.setdefault(key, set()).add(sender)
+                if facts[4]:
+                    key = f"{facts[1]}{SEP}{week}"
+                    n_key = f"{key}{SEP}{rd}"
+                    week_addr_n[n_key] = week_addr_n.get(n_key, 0) + 1
+                    week_addr_senders.setdefault(key, set()).add(sender)
+                if delivered:
+                    last_success[rd] = latest
+                if btype is not None:
+                    self._observe_type(
+                        btype, record, failure.result, sd, facts,
+                        day if in_days else None,
+                    )
+                outlines[outline] = count + 1
+                n += 1
+                if len(outlines) >= _OUTLINE_CAP:
+                    self._fold_outlines(outlines)
+                    outlines.clear()
+        finally:
+            self._fold_outlines(outlines)
+            self.n_records += n
+        return n
 
-        t0 = record.start_time
-        day = clock.day_index(t0)
-        in_days = 0 <= day < clock.n_days
-        if in_days:
-            a["day_degree"].observe(f"{day}{SEP}{deg}")
-        a["monthly"].observe(self._month_key(t0))
-
-        sd = record.sender_domain
-        rd = record.receiver_domain
-        sender = record.sender
-        receiver = record.receiver
-        recv_lower = receiver.lower()
-
-        a["rd_volume"].observe(rd)
-        a["sd_volume"].observe(sd)
-        if deg == "hard":
-            a["rd_hard"].observe(rd)
-            a["sd_hard"].observe(sd)
-        elif deg == "soft":
-            a["rd_soft"].observe(rd)
-            a["sd_soft"].observe(sd)
-        ip = next((att.to_ip for att in attempts if att.to_ip), None)
-        if ip is not None:
-            a["ip_volume"].observe(ip)
+    def _fold_outlines(self, outlines: dict[tuple, int]) -> None:
+        """Write each outline of :meth:`observe_many` as many times as it
+        was counted, in the order the records first brought them."""
+        (totals, rd_volume, rd_hard, rd_soft, sd_volume, sd_hard, sd_soft,
+         ip_volume, ip_hard, ip_soft, pair_traffic, pair_delivered_n,
+         types, rd_type, ip_type, delivered_domains, delivered_addrs,
+         spam_recipients, rd_senders, pair_hit_users, deliv_user_sets,
+         pair_t8_users) = self._outline_maps
+        for (sender, sd, receiver, deg, ip, flag, bounced, btype, final_t8), n in (
+            outlines.items()
+        ):
+            rd, recv_lower, user_lower, split, _, _ = self._receiver(receiver)
+            delivered = deg != "hard"
+            totals["emails"] = totals.get("emails", 0) + n
+            totals[deg] = totals.get(deg, 0) + n
+            if flag == "Spam":
+                totals["flag_spam"] = totals.get("flag_spam", 0) + n
+                if delivered:
+                    totals["flag_spam_delivered"] = totals.get("flag_spam_delivered", 0) + n
+            rd_volume[rd] = rd_volume.get(rd, 0) + n
+            sd_volume[sd] = sd_volume.get(sd, 0) + n
             if deg == "hard":
-                a["ip_hard"].observe(ip)
+                rd_hard[rd] = rd_hard.get(rd, 0) + n
+                sd_hard[sd] = sd_hard.get(sd, 0) + n
             elif deg == "soft":
-                a["ip_soft"].observe(ip)
-
-        if deg == "soft":
-            a["soft_attempts"].observe(len(attempts))
-            delay_h = (attempts[ok.index(True)].t - t0) / 3600.0
-            a["recovery_hours"].observe(delay_h)
-            a["recovery_sketch"].observe(delay_h)
-
-        if record.email_flag == "Spam":
-            totals.observe("flag_spam")
-            if delivered:
-                totals.observe("flag_spam_delivered")
-
-        pair = f"{sd}{SEP}{rd}"
-        a["pair_traffic"].observe(pair)
-        a["spam_recipients"].observe(sd, recv_lower)
-        a["rd_senders"].observe(rd, sender)
-
-        if delivered:
-            a["pair_delivered_n"].observe(pair)
-            a["pair_hit_users"].observe(pair, record.receiver_user.lower())
-            a["delivered_domains"].observe(rd)
-            a["delivered_addrs"].observe(recv_lower)
-            try:
-                user, dlow = split_address(receiver)
-            except ValueError:
-                pass
-            else:
-                a["deliv_user_sets"].observe(f"{sender}{SEP}{dlow}", user.lower())
-            last_success = a["last_success"]
-            for att, good in zip(attempts, ok):
-                if good:
-                    last_success.observe(rd, att.t)
-        else:
-            final_type = self._labeler.classify(attempts[-1].result)
-            if final_type is BounceType.T8:
-                a["pair_t8_users"].observe(pair, record.receiver_user.lower())
-
-        # Fig 9 weekly series keys are deliberately NOT range-guarded —
-        # the batch persistence estimator isn't either; the guard is
-        # applied when rendering the series.
-        week = clock.week_index(t0)
-        a["week_dom_n"].observe(f"{rd}{SEP}{week}")
-        a["week_dom_senders"].observe(f"{rd}{SEP}{week}", sender)
-        addr_domain = recv_lower.rsplit("@", 1)[-1]
-        if addr_domain in self.providers:
-            a["week_addr_n"].observe(f"{recv_lower}{SEP}{week}{SEP}{rd}")
-            a["week_addr_senders"].observe(f"{recv_lower}{SEP}{week}", sender)
-
-        if False not in ok:
-            return
-        failure = attempts[ok.index(False)]
-        totals.observe("bounced")
-        btype = self._labeler.classify(failure.result)
-        if btype is None:
-            totals.observe("ambiguous")
-            return
-        t = btype.value
-        a["types"].observe(t)
-        if deg != "non":
-            a["rd_type"].observe(f"{rd}{SEP}{t}")
+                rd_soft[rd] = rd_soft.get(rd, 0) + n
+                sd_soft[sd] = sd_soft.get(sd, 0) + n
             if ip is not None:
-                a["ip_type"].observe(f"{ip}{SEP}{t}")
+                ip_volume[ip] = ip_volume.get(ip, 0) + n
+                if deg == "hard":
+                    ip_hard[ip] = ip_hard.get(ip, 0) + n
+                elif deg == "soft":
+                    ip_soft[ip] = ip_soft.get(ip, 0) + n
 
-        if btype is BounceType.T5:
-            totals.observe("t5")
+            pair = f"{sd}{SEP}{rd}"
+            pair_traffic[pair] = pair_traffic.get(pair, 0) + n
+            spam_recipients.setdefault(sd, set()).add(recv_lower)
+            rd_senders.setdefault(rd, set()).add(sender)
             if delivered:
-                totals.observe("t5_recovered")
-            if in_days:
+                pair_delivered_n[pair] = pair_delivered_n.get(pair, 0) + n
+                pair_hit_users.setdefault(pair, set()).add(user_lower)
+                delivered_domains.add(rd)
+                delivered_addrs.add(recv_lower)
+                if split is not None:
+                    user, dlow = split
+                    deliv_user_sets.setdefault(f"{sender}{SEP}{dlow}", set()).add(user)
+            elif final_t8:
+                pair_t8_users.setdefault(pair, set()).add(user_lower)
+
+            if not bounced:
+                continue
+            totals["bounced"] = totals.get("bounced", 0) + n
+            if btype is None:
+                totals["ambiguous"] = totals.get("ambiguous", 0) + n
+                continue
+            t = btype.value
+            types[t] = types.get(t, 0) + n
+            if deg != "non":
+                key = f"{rd}{SEP}{t}"
+                rd_type[key] = rd_type.get(key, 0) + n
+                if ip is not None:
+                    key = f"{ip}{SEP}{t}"
+                    ip_type[key] = ip_type.get(key, 0) + n
+            if btype is BounceType.T5:
+                totals["t5"] = totals.get("t5", 0) + n
+                if delivered:
+                    totals["t5_recovered"] = totals.get("t5_recovered", 0) + n
+            elif btype is BounceType.T13 and flag == "Normal":
+                totals["t13_normal"] = totals.get("t13_normal", 0) + n
+
+    def _observe_type(self, btype, record, text, sd, facts, day) -> None:
+        """A bounced record's writes that depend on its bounce type and
+        need more than its outline: ``text`` is its first failure, ``day``
+        its clock day, or None outside the clock window."""
+        a = self._acc
+        rd, recv_lower, _, _, _, rd_probed = facts
+        t0 = record.start_time
+        sender = record.sender
+        if btype is BounceType.T5:
+            if day is not None:
                 flag = "s" if record.email_flag == "Spam" else "n"
                 a["t5_day"].observe(f"{day}{SEP}{flag}")
             a["t5_first_seen"].observe(rd, t0)
         elif btype is BounceType.T6:
             a["t6_domains"].observe(rd)
-            if delivered:
-                delay = attempts[ok.index(True)].t - t0
-                a["greylist_delay_s"].observe(delay)
-                a["greylist_sketch"].observe(delay)
         elif btype is BounceType.T13:
             a["t13_dec"].observe(sd)
-            if record.email_flag == "Normal":
-                totals.observe("t13_normal")
         elif btype is BounceType.T2:
             a["t2_dec"].observe(rd)
             a["t2_senders"].observe(rd, sender)
@@ -359,7 +536,7 @@ class TableSuite:
         elif btype is BounceType.T9:
             a["quota_eps"].observe(recv_lower, t0)
         elif btype is BounceType.T8:
-            text = failure.result.lower()
+            text = text.lower()
             inactive = "inactive" in text or "disabled" in text
             a["t8_dec"].observe(
                 f"{sd}{SEP}{rd}{SEP}{recv_lower}{SEP}{1 if inactive else 0}"
@@ -367,16 +544,9 @@ class TableSuite:
             if not inactive:
                 a["t8_addr_senders"].observe(recv_lower, sender)
                 a["t8_addr_counts"].observe(recv_lower)
-            if rd in self.providers:
+            if rd_probed:
                 a["prov_t8_counts"].observe(recv_lower)
                 a["prov_t8_senders"].observe(recv_lower, sender)
-
-    def observe_many(self, records) -> int:
-        n = 0
-        for record in records:
-            self.observe(record)
-            n += 1
-        return n
 
     @classmethod
     def from_records(cls, records, clock: SimClock | None = None) -> "TableSuite":
@@ -432,6 +602,7 @@ class TableSuite:
             if name not in saved:
                 raise SnapshotError(f"table_suite snapshot missing accumulator {name!r}")
             suite._acc[name] = restore(saved[name])
+        suite._bind()
         return suite
 
     def merge_snapshot(self, snapshot: dict) -> "TableSuite":

@@ -132,7 +132,8 @@ def reset() -> None:
     Call after ``repro.obs.metrics.enable()``/``disable()`` so the
     module-level memos pick up (or drop) their counters.  Memos marked
     ``pure`` keep their entries (a pure function of the exact key has
-    no staleness to flush); everything else drops its data.
+    no staleness to flush); everything else drops its data, and so does
+    the window-edge cache, which holds every window list it has seen.
     """
     for obj in _REGISTRY:
         if getattr(obj, "pure", False):
@@ -140,6 +141,7 @@ def reset() -> None:
         else:
             obj.clear()
         obj.rebind()
+    _EDGE_CACHE.clear()
 
 
 class CacheStats:

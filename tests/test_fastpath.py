@@ -246,6 +246,23 @@ class TestLruMemo:
         assert memo.get("k") is fastpath.MISSING
         fastpath._REGISTRY.remove(memo)
 
+    def test_reset_empties_the_window_edge_cache(self):
+        """Each run's window lists stay in the edge cache until a reset;
+        two runs with a reset between them leave no more than one."""
+        from repro import SimulationConfig
+        from repro.stream.runner import stream_simulation
+
+        def run() -> int:
+            for _ in stream_simulation(SimulationConfig(scale=0.02, seed=3)).records:
+                pass
+            return len(fastpath._EDGE_CACHE)
+
+        fastpath.reset()
+        one = run()
+        assert one > 0
+        fastpath.reset()
+        assert run() <= one
+
     def test_enable_disable_roundtrip(self):
         assert fastpath.enabled()
         fastpath.disable()

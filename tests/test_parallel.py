@@ -46,6 +46,23 @@ def checkpoint(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def checkpoint_mixed(tmp_path_factory):
+    """Scale 0.03, seed 9 saved at day 150: a world that delivers most of
+    its mail and walks the auth stack for many domains."""
+    from repro.checkpoint import fresh_progress, run_segment, save_checkpoint
+    from repro.world.model import build_world
+
+    config = SimulationConfig(scale=0.03, seed=9)
+    cut, path = 150, tmp_path_factory.mktemp("parallel-ckpt-mixed") / "cut"
+    world = build_world(config)
+    head = run_segment(world, fresh_progress(config), cut)
+    for _ in head:
+        pass
+    save_checkpoint(path, world, cut, head.finish())
+    return path
+
+
 def _lines(records):
     return [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
 
@@ -297,11 +314,17 @@ class TestWorkerTelemetry:
         assert serial
         assert serial == parallel
 
-    def test_checkpoint_worker_metrics_merge_equals_serial(self, checkpoint):
+    def test_checkpoint_worker_metrics_merge_equals_serial(self, checkpoint_mixed):
         """Workers of a checkpoint source run the world the parent
         restored.  A 2-worker tail reports the serial tail's delivery,
         DNS and receiver families, so the resolver and the MTAs count
-        into each worker's own registry, not the one inherited."""
+        into each worker's own registry, not the one inherited.
+
+        Three DNS series are the exception: the ``TXT_SPF:OK``,
+        ``TXT_DKIM:OK`` and ``TXT_DMARC:OK`` lookups come from the
+        world's auth evaluator, whose verdict cache each process builds
+        for itself, so 2 workers look up again what the serial run had
+        cached.  They are checked to exist on both sides, not to match."""
         from repro.checkpoint import load_checkpoint, run_segment
         from repro.obs import metrics as obs_metrics
 
@@ -309,20 +332,29 @@ class TestWorkerTelemetry:
             "repro_delivery_", "repro_dns_queries_total",
             "repro_receiver_verdicts_total",
         )
+        per_process = ("TXT_SPF:OK", "TXT_DKIM:OK", "TXT_DMARC:OK")
 
         def families():
             snap = obs_metrics.get_registry().snapshot()
-            return {f["name"]: f for f in snap if f["name"].startswith(names)}
+            out = {f["name"]: f for f in snap if f["name"].startswith(names)}
+            dns = dict(out["repro_dns_queries_total"])
+            del dns["value"]
+            series = dns["series"] = dict(dns["series"])
+            assert set(per_process) <= set(series)
+            for key in per_process:
+                del series[key]
+            out["repro_dns_queries_total"] = dns
+            return out
 
         obs_metrics.enable()
         try:
             obs_metrics.reset()
-            ckpt = load_checkpoint(checkpoint)
+            ckpt = load_checkpoint(checkpoint_mixed)
             for _ in run_segment(ckpt.world, ckpt.progress, ckpt.world.clock.n_days):
                 pass
             serial = families()
             obs_metrics.reset()
-            with run_parallel_simulation(load_checkpoint(checkpoint), 2) as run:
+            with run_parallel_simulation(load_checkpoint(checkpoint_mixed), 2) as run:
                 for _ in run.iter_records():
                     pass
             parallel = families()
