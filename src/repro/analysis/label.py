@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Protocol
 
-from repro.core.labeling import UNKNOWN_TYPE_PATTERNS, is_ambiguous_text, match_rules
+from repro.core.labeling import UNKNOWN_TYPE_PATTERNS, rule_verdict
 from repro.core.taxonomy import BounceType
 from repro.delivery.dataset import DeliveryDataset
 from repro.delivery.records import DeliveryRecord
@@ -33,27 +33,33 @@ class NDRLabeler(Protocol):
     def classify(self, message: str) -> BounceType | None: ...
 
 
+#: Distinct messages a :class:`RuleLabeler` remembers before it starts
+#: over: the cap of the table suite's fold memos, so a long-lived suite
+#: (serve's ``/observe``, ``watch --report-every``) stays bounded.
+_CACHE_CAP = 1 << 16
+
+
 class RuleLabeler:
     """Per-message expert rules, with a memoisation cache.
 
     NDR corpora are template-dominated, so the cache hit rate is high and
-    labelling a million messages stays cheap.
+    labelling a million messages stays cheap.  The cache empties when it
+    holds ``_CACHE_CAP`` messages.
     """
 
     def __init__(self) -> None:
         self._cache: dict[str, BounceType | None] = {}
 
     def classify(self, message: str) -> BounceType | None:
-        if message in self._cache:
-            return self._cache[message]
-        result: BounceType | None
-        if is_ambiguous_text(message):
-            result = None
-        else:
-            result = match_rules(message)
-            if result is None:
-                result = BounceType.T16
-        self._cache[message] = result
+        cache = self._cache
+        if message in cache:
+            return cache[message]
+        ambiguous, result = rule_verdict(message)
+        if result is None and not ambiguous:
+            result = BounceType.T16
+        if len(cache) >= _CACHE_CAP:
+            cache.clear()
+        cache[message] = result
         return result
 
 

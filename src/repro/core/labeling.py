@@ -137,8 +137,43 @@ LABEL_RULES: list[LabelRule] = [
 ]
 
 
+# The patterns above searched case-sensitively over lower-cased text.  On
+# ASCII text they match exactly where the re.I patterns do, since every
+# pattern is written in lower case with no bracketed character class and
+# no inline flag (tests/test_labeling.py holds them to that).  re.I also
+# folds some non-ASCII letters onto rule letters ("ſ" onto "s", the
+# Kelvin sign onto "k", "İ" and "ı" onto "i") where str.lower() does not,
+# so non-ASCII text keeps the re.I patterns.
+_LOWER_AMBIGUOUS = [re.compile(p.pattern) for p in AMBIGUOUS_PATTERNS]
+_LOWER_RULES = [(re.compile(r.pattern.pattern), r.bounce_type) for r in LABEL_RULES]
+_RULES = [(r.pattern, r.bounce_type) for r in LABEL_RULES]
+
+
+def _scan(text: str) -> tuple[str, list, list]:
+    """The text to search and the ambiguity and rule patterns to search
+    it with: ASCII text lower-cased once, other text as it is."""
+    if text.isascii():
+        return text.lower(), _LOWER_AMBIGUOUS, _LOWER_RULES
+    return text, AMBIGUOUS_PATTERNS, _RULES
+
+
+def rule_verdict(text: str) -> tuple[bool, BounceType | None]:
+    """Whether ``text`` is ambiguous, and otherwise its first
+    :data:`LABEL_RULES` match (``None`` when ambiguous or unmatched),
+    from one lower-cased pass."""
+    text, ambiguous, rules = _scan(text)
+    for pattern in ambiguous:
+        if pattern.search(text):
+            return True, None
+    for pattern, bounce_type in rules:
+        if pattern.search(text):
+            return False, bounce_type
+    return False, None
+
+
 def is_ambiguous_text(text: str) -> bool:
-    return any(p.search(text) for p in AMBIGUOUS_PATTERNS)
+    text, ambiguous, _ = _scan(text)
+    return any(p.search(text) for p in ambiguous)
 
 
 def label_text(text: str) -> BounceType | None:
@@ -148,15 +183,14 @@ def label_text(text: str) -> BounceType | None:
     declines to label — such templates are excluded from training, and at
     prediction time unmatched messages fall into T16).
     """
-    if is_ambiguous_text(text):
-        return None
-    return match_rules(text)
+    return rule_verdict(text)[1]
 
 
 def match_rules(text: str) -> BounceType | None:
     """The first :data:`LABEL_RULES` match, without the ambiguity check
-    of :func:`label_text` (for callers that have already made it)."""
-    for rule in LABEL_RULES:
-        if rule.pattern.search(text):
-            return rule.bounce_type
+    of :func:`label_text`."""
+    text, _, rules = _scan(text)
+    for pattern, bounce_type in rules:
+        if pattern.search(text):
+            return bounce_type
     return None

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.core.taxonomy import BounceDegree
-from repro.delivery.records import DeliveryRecord
+from repro.delivery.records import DeliveryRecord, load_json
 
 
 class RecordDecodeError(ValueError):
@@ -38,7 +38,7 @@ def iter_ndjson_records(
         if not line:
             continue
         try:
-            data = json.loads(line)
+            data = load_json(line)
         except json.JSONDecodeError as exc:
             raise RecordDecodeError(source, line_no, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(data, dict):

@@ -33,6 +33,27 @@ class _OutsideSchema(Exception):
     """A record value the one-pass encoder leaves to ``json.dumps``."""
 
 
+# The default decoder's scanner: json.loads(text) is one call of it plus
+# Python-level checks for a BOM, whitespace around the value and data
+# after it, none of which a line that to_json wrote holds.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def load_json(text: str):
+    """``json.loads(text)``, in one scanner call when a JSON value spans
+    all of ``text``.
+
+    Any other text — whitespace around the value, a BOM, trailing data,
+    malformed JSON, bytes — goes to ``json.loads``, so it returns or
+    raises exactly what ``json.loads`` does.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, TypeError):
+        return json.loads(text)
+    return value if end == len(text) else json.loads(text)
+
+
 def compute_message_id(sender: str, receiver: str, start_time: float) -> str:
     """Deterministic 16-hex id of one email.
 
@@ -227,7 +248,7 @@ class DeliveryRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "DeliveryRecord":
-        return cls.from_json_dict(json.loads(line))
+        return cls.from_json_dict(load_json(line))
 
 
 def _degree(results: list) -> BounceDegree:
@@ -358,10 +379,10 @@ class _LineRecord(DeliveryRecord):
         at = line.index(_RESULTS_KEY) + len(_RESULTS_KEY)
         if _FIRST_ACCEPTED.match(line, at):
             return BounceDegree.NON_BOUNCED
-        return _degree(json.loads(line[at:line.index(_LATENCY_KEY, at)]))
+        return _degree(load_json(line[at:line.index(_LATENCY_KEY, at)]))
 
     def _decode(self) -> DeliveryRecord:
-        fields = _decoded_fields(json.loads(_line_of(self)))
+        fields = _decoded_fields(load_json(_line_of(self)))
         _set_class(self, DeliveryRecord)
         DeliveryRecord.__init__(self, *fields)
         return self

@@ -1,6 +1,10 @@
 """Tests for the labeling layer (rule labeler + labeled dataset)."""
 
+import json
+
+from repro.analysis import label
 from repro.analysis.label import RuleLabeler
+from repro.analytics.suite import TableSuite
 from repro.core.taxonomy import BounceType
 
 
@@ -18,6 +22,30 @@ class TestRuleLabeler:
     def test_unknown_is_t16(self):
         labeler = RuleLabeler()
         assert labeler.classify("591 novel wording entirely") is BounceType.T16
+
+    def test_cache_stays_under_its_cap_in_a_suite(self, dataset, clock, monkeypatch):
+        """A suite's labeler forgets past the cap and its tables do not
+        change: the cache is a memo, never a source of state."""
+        records = list(dataset)
+        uncapped = TableSuite(clock)
+        uncapped.observe_many(records)
+        assert len(uncapped._labeler._cache) > 100
+
+        monkeypatch.setattr(label, "_CACHE_CAP", 37)
+        sizes = []
+
+        class Cache(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        capped = TableSuite(clock)
+        capped._labeler._cache = Cache()
+        for start in range(0, len(records), 1000):
+            capped.observe_many(records[start:start + 1000])
+        assert max(sizes) == 37
+        assert sizes.count(1) > 1  # it started over
+        assert json.dumps(capped.snapshot()) == json.dumps(uncapped.snapshot())
 
 
 class TestLabeledDataset:
